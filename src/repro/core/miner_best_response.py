@@ -18,9 +18,19 @@ The KKT system is solved exactly:
   ``E* = sqrt(R γ ē / Δ(λ))`` with ``Δ(λ) = (q_e + λ p_e) - (q_c + λ p_c)``
   (Eq. 14 of the paper, generalized) — with corner fallbacks resolved by
   scalar root-finding;
-* the complementary-slackness value of ``λ`` is found by bracketing +
-  ``brentq`` on the (monotone decreasing) spending curve, the generalized
-  form of Eq. (15).
+* the complementary-slackness value of ``λ`` of a mixed (interior)
+  response is Eq. (15) in ``t = 1/√(1+λ)``: with ``dp = p_e - p_c`` the
+  interior spend minus the budget is
+  ``h(t) = a t/√(ν t² + dp) + b t - K``, linear at ``ν = 0`` (the
+  paper's closed form) and concave increasing otherwise, so Newton's
+  method from ``t = 0`` rises monotonically to its root. The root is
+  kept only when the response at that ``λ`` is interior and spends the
+  budget; otherwise a corner binds and ``λ`` is found by bracketing +
+  ``brentq`` on the (monotone decreasing) spending curve;
+* with no edge pool (``γ ē = 0``) the two goods are perfect substitutes
+  and swap order at ``λ₀ = (q_e - q_c)/(p_c - p_e)``, where spending
+  jumps; a budget inside the jump is met by the mix at ``λ₀`` that
+  spends it exactly.
 
 Degenerate pools: when ``ē = 0`` the edge bonus ``β h e/E`` jumps to
 ``β h`` for any ``e > 0`` (a removable model discontinuity noted in
@@ -32,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Optional, Tuple
 
 from scipy.optimize import brentq
 
@@ -41,6 +51,14 @@ from ..exceptions import ConfigurationError
 __all__ = ["ResponseContext", "BestResponse", "solve_best_response"]
 
 _TOL = 1e-13
+
+#: Relative budget miss within which a root-found response is re-scaled
+#: onto the budget plane (and a closed-form ``λ`` is accepted).
+_RESCALE_BAND = 1e-6
+
+#: Newton steps allowed for the interior multiplier before the bracketed
+#: root takes over (monotone convergence needs a handful).
+_NEWTON_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -210,7 +228,97 @@ def solve_best_response(ctx: ResponseContext, *, reward: float, beta: float,
         return BestResponse(e=e0, c=c0, budget_multiplier=0.0,
                             spending=cost0)
 
-    # Budget binds: bracket λ and solve spend(λ) = B (Eq. 15, generalized).
+    # Budget binds: Eq. (15) for a mixed response, else a bracketed root.
+    lam = _interior_multiplier(reward, beta, gamma, ctx, p_e, p_c,
+                               budget, nu)
+    if lam is not None:
+        e, c = candidate(lam)
+        if not (e > 0.0 and c > 0.0 and abs(
+                budget / (p_e * e + p_c * c) - 1.0) < _RESCALE_BAND):
+            lam = None
+    if lam is None:
+        tie = _tie_mix(reward, beta, gamma, ctx, q_e, q_c, p_e, p_c,
+                       budget)
+        if tie is not None:
+            lam, e, c = tie
+        else:
+            lam = _bracketed_multiplier(spend, budget)
+            e, c = candidate(lam)
+    # Re-scale exactly onto the budget plane to remove root-finding slack.
+    cost = p_e * e + p_c * c
+    if cost > 0.0:
+        scale = budget / cost
+        # Only apply when it is a shrink/grow of at most the solver slack.
+        if abs(scale - 1.0) < _RESCALE_BAND:
+            e *= scale
+            c *= scale
+            cost = budget
+    return BestResponse(e=e, c=c, budget_multiplier=lam, spending=cost)
+
+
+def _interior_multiplier(reward: float, beta: float, gamma: float,
+                         ctx: ResponseContext, p_e: float, p_c: float,
+                         budget: float, nu: float) -> Optional[float]:
+    """Budget multiplier of a mixed response (Eq. 15), or ``None``.
+
+    Solves ``h(t) = a t/√(ν t² + dp) + b t - K = 0`` for
+    ``t = 1/√(1+λ)`` by Newton's method from ``t = 0``: ``h`` is linear
+    at ``ν = 0`` (one step lands on Eq. 15) and concave increasing with
+    ``h(0) = -K < 0`` otherwise, so the iterates rise monotonically to
+    the root and stop when a step no longer rises. ``None`` outside the
+    domain ``γ > 0``, ``p_e > p_c``, ``ē > 0``, ``s̄ > 0``, or for
+    ``λ < 0``; the caller still checks that the response is interior.
+    """
+    dp = p_e - p_c
+    if not (gamma > 0.0 and dp > 0.0 and ctx.e_others > 0.0
+            and ctx.s_others > 0.0):
+        return None
+    a = dp * math.sqrt(reward * gamma * ctx.e_others)
+    b = math.sqrt(p_c * reward * (1.0 - beta) * ctx.s_others)
+    k = budget + dp * ctx.e_others + p_c * ctx.s_others
+    t = 0.0
+    for _ in range(_NEWTON_STEPS):
+        root = math.sqrt(nu * t * t + dp)
+        h = a * t / root + b * t - k
+        step = t - h / (a * dp / (root * root * root) + b)
+        if not step > t:
+            break
+        t = step
+    else:
+        return None
+    if not 0.0 < t <= 1.0:
+        return None
+    return 1.0 / (t * t) - 1.0
+
+
+def _tie_mix(reward: float, beta: float, gamma: float, ctx: ResponseContext,
+             q_e: float, q_c: float, p_e: float, p_c: float,
+             budget: float) -> Optional[Tuple[float, float, float]]:
+    """``(λ₀, e, c)`` when the budget falls inside the substitution jump.
+
+    With no edge pool (``γ ē = 0``) the miner buys whichever good has the
+    lower objective price ``q + λ p``. When ``p_e < p_c <= q_e`` the order
+    flips at ``λ₀ = (q_e - q_c)/(p_c - p_e)``, and spending jumps there
+    from ``p_c x`` down to ``p_e x`` for the common total ``x``. Every mix
+    of total ``x`` is then optimal, and the one spending ``B`` exactly is
+    the best response. ``None`` when there is no such jump or ``B`` is
+    outside it.
+    """
+    s_bar = ctx.s_others
+    if (gamma > 0.0 and ctx.e_others > 0.0) or s_bar <= 0.0 \
+            or not (p_e < p_c and q_e >= q_c):
+        return None
+    lam0 = (q_e - q_c) / (p_c - p_e)
+    x = _cloud_only(reward, beta, ctx, q_c + lam0 * p_c)
+    if not p_e * x < budget < p_c * x:
+        return None
+    c = (budget - p_e * x) / (p_c - p_e)
+    return lam0, x - c, c
+
+
+def _bracketed_multiplier(spend: Callable[[float], float],
+                          budget: float) -> float:
+    """Root of the monotone decreasing ``spend(λ) = B`` (bracket + brentq)."""
     lo, hi = 0.0, 1.0
     while spend(hi) > budget:
         lo = hi
@@ -218,16 +326,5 @@ def solve_best_response(ctx: ResponseContext, *, reward: float, beta: float,
         if hi > 1e18:
             raise ConfigurationError(
                 "budget multiplier bracket diverged; model is degenerate")
-    lam = float(brentq(lambda x: spend(x) - budget, lo, hi,
-                       xtol=1e-14, rtol=8.9e-16))
-    e, c = candidate(lam)
-    # Re-scale exactly onto the budget plane to remove root-finding slack.
-    cost = p_e * e + p_c * c
-    if cost > 0.0:
-        scale = budget / cost
-        # Only apply when it is a shrink/grow of at most the solver slack.
-        if abs(scale - 1.0) < 1e-6:
-            e *= scale
-            c *= scale
-            cost = budget
-    return BestResponse(e=e, c=c, budget_multiplier=lam, spending=cost)
+    return float(brentq(lambda x: spend(x) - budget, lo, hi,
+                        xtol=1e-14, rtol=8.9e-16))

@@ -3,17 +3,17 @@
 The inner solvers of :mod:`repro.core` were written as literal,
 per-miner transcriptions of the paper's KKT systems: readable,
 bit-stable, and the reference oracle for every golden test — but each
-best-response sweep costs ``n`` scalar :func:`scipy.optimize.brentq`
-solves plus ``O(n)`` aggregate re-summation per miner.  This package
-provides drop-in vectorized kernels behind the same APIs:
+best-response sweep costs ``n`` scalar best responses plus ``O(n)``
+aggregate re-summation per miner.  This package provides drop-in
+vectorized kernels behind the same APIs:
 
 * :func:`batched_best_response` — all ``n`` miners' exact best
   responses in one shot: the closed-form Eq. (14) candidates, the
   edge-only marginal equation, and the complementary-slackness budget
-  multiplier (Eq. 15) are all evaluated as array programs, with the
-  two genuinely implicit pieces (the two-pool edge marginal and the
-  budget multiplier) solved by vectorized monotone bisection instead
-  of per-miner ``brentq``.
+  multiplier (Eq. 15) are all evaluated as array programs. The
+  multiplier of a mixed response is Eq. (15) in closed form; only
+  corner-bound lanes and the two-pool edge marginal fall back to
+  vectorized monotone bisection.
 * :func:`jacobi_sweep` — one simultaneous (Jacobi) best-response sweep
   built on the batched kernel: ``O(n)`` aggregate computation plus one
   batched solve, replacing ``n`` scalar solves.

@@ -14,12 +14,20 @@ module evaluates the same KKT system for **all miners at once**:
   ``R(1-β) s̄/(s̄+e)² + Rγ ē/(ē+e)² = a_e`` — the only branch with no
   closed form — is solved by vectorized bisection on its strictly
   decreasing left-hand side;
-* the budget multiplier is found by vectorized bracketing + bisection
-  on the (strictly decreasing) batched spending curve, one ``λ_i`` per
-  budget-bound miner, all advanced in lockstep.
+* the budget multiplier of a mixed response is Eq. (15), solved per
+  lane by the scalar kernel's monotone Newton iteration in
+  ``t = 1/√(1+λ)`` (one step at ``ν = 0``), each lane frozen once it
+  stops rising; a lane is accepted only when its response at that
+  ``λ`` is interior and spends the budget;
+* the rejected lanes (a corner binds) find ``λ_i`` by vectorized
+  bracketing + bisection on the (monotone decreasing) batched spending
+  curve, all advanced in lockstep, except lanes whose budget falls
+  inside the substitution jump of a pool-less miner, which take the
+  scalar kernel's exact mix at ``λ₀``.
 
-Monotone bisection is run to ~1e-15 relative bracket width, so batched
-and scalar responses agree far inside the ``1e-9`` contract pinned by
+The closed-form lanes repeat the scalar arithmetic; bisection is run to
+~1e-15 relative bracket width, so batched and scalar responses agree
+far inside the ``1e-9`` contract pinned by
 ``tests/kernels/test_equivalence.py`` (they are not bit-identical:
 ``brentq`` and bisection stop on different ulps).
 """
@@ -42,6 +50,13 @@ __all__ = ["BatchedBestResponse", "batched_best_response",
 #: Absolute spending slack below which the budget is considered free,
 #: matching ``repro.core.miner_best_response._TOL``.
 _TOL = 1e-13
+
+#: Relative budget miss accepted for (and re-scaled out of) a solved
+#: multiplier, matching ``repro.core.miner_best_response._RESCALE_BAND``.
+_RESCALE_BAND = 1e-6
+
+#: Newton steps of the interior multiplier, as in the scalar kernel.
+_NEWTON_STEPS = 64
 
 #: Bisection sweeps for the implicit equations.  The bracket halves each
 #: sweep, so 110 sweeps shrink any double-precision bracket to its ulp
@@ -241,52 +256,32 @@ def batched_best_response(e_others: np.ndarray, s_others: np.ndarray, *,
     e, c = _candidate_batch(s_bar, e_bar, lam, reward, beta, gamma,
                             q_e, q_c, p_e, p_c)
     cost = p_e * e + p_c * c
-    over = cost > budgets + _TOL
-    if np.any(over):
+    over = np.flatnonzero(cost > budgets + _TOL)
+    if over.size:
         sb = s_bar[over]
         eb = e_bar[over]
         bb = budgets[over]
-
-        def spend(lams: np.ndarray) -> np.ndarray:
-            es, cs = _candidate_batch(sb, eb, lams, reward, beta, gamma,
-                                      q_e, q_c, p_e, p_c)
-            return p_e * es + p_c * cs
-
-        # Bracket each λ_i (Eq. 15: spending is strictly decreasing).
-        lo = np.zeros_like(bb)
-        hi = np.ones_like(bb)
-        for _ in range(70):
-            grow = spend(hi) > bb
-            if not np.any(grow):
-                break
-            lo = np.where(grow, hi, lo)
-            hi = np.where(grow, 2.0 * hi, hi)
-            if np.any(hi > 1e18):
-                raise ConfigurationError(
-                    "budget multiplier bracket diverged; model is "
-                    "degenerate")
-        else:
-            if np.any(spend(hi) > bb):
-                raise ConfigurationError(
-                    "budget multiplier bracket diverged; model is "
-                    "degenerate")
-        for _ in range(_BISECT_SWEEPS):
-            mid = 0.5 * (lo + hi)
-            if np.all((mid <= lo) | (mid >= hi)):
-                break
-            high = spend(mid) > bb
-            lo = np.where(high, mid, lo)
-            hi = np.where(high, hi, mid)
-        lam_b = 0.5 * (lo + hi)
-        eb_opt, cb_opt = _candidate_batch(sb, eb, lam_b, reward, beta,
-                                          gamma, q_e, q_c, p_e, p_c)
+        # Eq. (15) for the mixed lanes; the rest fall through below.
+        lam_b, eb_opt, cb_opt, done = _interior_multiplier_batch(
+            sb, eb, bb, reward, beta, gamma, p_e, p_c, nu)
+        tie = _tie_lanes(sb, eb, bb, reward, beta, gamma, q_e, q_c,
+                         p_e, p_c, lam_b, eb_opt, cb_opt)
+        rest = np.flatnonzero(~done & ~tie)
+        if rest.size:
+            lam_r = _bisect_multiplier(sb[rest], eb[rest], bb[rest],
+                                       reward, beta, gamma, q_e, q_c,
+                                       p_e, p_c)
+            lam_b[rest] = lam_r
+            eb_opt[rest], cb_opt[rest] = _candidate_batch(
+                sb[rest], eb[rest], lam_r, reward, beta, gamma, q_e,
+                q_c, p_e, p_c)
         # Re-scale exactly onto the budget plane (same slack rule as the
         # scalar kernel): only when the correction is within the root-
         # finder's own tolerance band.
         cost_b = p_e * eb_opt + p_c * cb_opt
         safe = np.where(cost_b > 0.0, cost_b, 1.0)
         scale = np.where(
-            (cost_b > 0.0) & (np.abs(bb / safe - 1.0) < 1e-6),
+            (cost_b > 0.0) & (np.abs(bb / safe - 1.0) < _RESCALE_BAND),
             bb / safe, 1.0)
         eb_opt *= scale
         cb_opt *= scale
@@ -298,6 +293,135 @@ def batched_best_response(e_others: np.ndarray, s_others: np.ndarray, *,
         lam[over] = lam_b
     return BatchedBestResponse(e=e, c=c, budget_multiplier=lam,
                                spending=cost)
+
+
+def _interior_multiplier_batch(s_bar: np.ndarray, e_bar: np.ndarray,
+                               budgets: np.ndarray, reward: float,
+                               beta: float, gamma: float, p_e: float,
+                               p_c: float, nu: float
+                               ) -> Tuple[np.ndarray, np.ndarray,
+                                          np.ndarray, np.ndarray]:
+    """Eq. (15) multipliers of budget-bound lanes, with their responses.
+
+    Lane-wise mirror of the scalar ``_interior_multiplier``: monotone
+    Newton on ``h(t) = a t/√(ν t² + dp) + b t - K`` from ``t = 0``, each
+    lane frozen once a step no longer rises. Returns ``(λ, e, c, done)``
+    where ``done`` marks the lanes whose response at ``λ`` (from
+    :func:`_candidate_batch`) is interior and spends the budget within
+    the re-scale band; the other lanes hold zeros.
+    """
+    lam = np.zeros_like(budgets)
+    e = np.zeros_like(budgets)
+    c = np.zeros_like(budgets)
+    done = np.zeros(budgets.shape, dtype=bool)
+    dp = p_e - p_c
+    if not (gamma > 0.0 and dp > 0.0):
+        return lam, e, c, done
+    lanes = np.flatnonzero((e_bar > 0.0) & (s_bar > 0.0))
+    if not lanes.size:
+        return lam, e, c, done
+    a = dp * np.sqrt(reward * gamma * e_bar[lanes])
+    b = np.sqrt(p_c * reward * (1.0 - beta) * s_bar[lanes])
+    k = budgets[lanes] + dp * e_bar[lanes] + p_c * s_bar[lanes]
+    t = np.zeros_like(a)
+    active = np.arange(lanes.size)
+    for _ in range(_NEWTON_STEPS):
+        ti = t[active]
+        root = np.sqrt(nu * ti * ti + dp)
+        h = a[active] * ti / root + b[active] * ti - k[active]
+        step = ti - h / (a[active] * dp / (root * root * root)
+                         + b[active])
+        rising = step > ti
+        t[active[rising]] = step[rising]
+        active = active[rising]
+        if not active.size:
+            break
+    ok = (t > 0.0) & (t <= 1.0)
+    ok[active] = False
+    lanes, t = lanes[ok], t[ok]
+    lam_l = 1.0 / (t * t) - 1.0
+    e_l, c_l = _candidate_batch(s_bar[lanes], e_bar[lanes], lam_l, reward,
+                                beta, gamma, p_e + nu, p_c, p_e, p_c)
+    spent = p_e * e_l + p_c * c_l
+    good = (e_l > 0.0) & (c_l > 0.0)
+    good[good] = np.abs(budgets[lanes][good] / spent[good] - 1.0) \
+        < _RESCALE_BAND
+    lanes = lanes[good]
+    lam[lanes] = lam_l[good]
+    e[lanes] = e_l[good]
+    c[lanes] = c_l[good]
+    done[lanes] = True
+    return lam, e, c, done
+
+
+def _tie_lanes(s_bar: np.ndarray, e_bar: np.ndarray, budgets: np.ndarray,
+               reward: float, beta: float, gamma: float, q_e: float,
+               q_c: float, p_e: float, p_c: float, lam: np.ndarray,
+               e: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Fill the lanes whose budget sits inside the substitution jump.
+
+    Lane-wise mirror of the scalar ``_tie_mix``: with no edge pool the
+    goods swap order at ``λ₀ = (q_e - q_c)/(p_c - p_e)``, and a budget
+    between ``p_e x`` and ``p_c x`` is met by the mix of total ``x``
+    that spends it exactly. Writes ``λ₀`` and the mix into ``lam``,
+    ``e``, ``c`` in place and returns the mask of those lanes.
+    """
+    tie = np.zeros(budgets.shape, dtype=bool)
+    if not (p_e < p_c and q_e >= q_c):
+        return tie
+    lam0 = (q_e - q_c) / (p_c - p_e)
+    lanes = np.flatnonzero(((gamma <= 0.0) | (e_bar <= 0.0))
+                           & (s_bar > 0.0))
+    sb = s_bar[lanes]
+    x = np.maximum(np.sqrt(reward * (1.0 - beta) * sb
+                           / (q_c + lam0 * p_c)) - sb, 0.0)
+    bb = budgets[lanes]
+    inside = (p_e * x < bb) & (bb < p_c * x)
+    lanes, x, bb = lanes[inside], x[inside], bb[inside]
+    c_t = (bb - p_e * x) / (p_c - p_e)
+    lam[lanes] = lam0
+    e[lanes] = x - c_t
+    c[lanes] = c_t
+    tie[lanes] = True
+    return tie
+
+
+def _bisect_multiplier(s_bar: np.ndarray, e_bar: np.ndarray,
+                       budgets: np.ndarray, reward: float, beta: float,
+                       gamma: float, q_e: float, q_c: float, p_e: float,
+                       p_c: float) -> np.ndarray:
+    """Per-lane root of the decreasing ``spend(λ) = B``: bracket + bisect."""
+
+    def spend(lams: np.ndarray) -> np.ndarray:
+        es, cs = _candidate_batch(s_bar, e_bar, lams, reward, beta, gamma,
+                                  q_e, q_c, p_e, p_c)
+        return p_e * es + p_c * cs
+
+    lo = np.zeros_like(budgets)
+    hi = np.ones_like(budgets)
+    for _ in range(70):
+        grow = spend(hi) > budgets
+        if not np.any(grow):
+            break
+        lo = np.where(grow, hi, lo)
+        hi = np.where(grow, 2.0 * hi, hi)
+        if np.any(hi > 1e18):
+            raise ConfigurationError(
+                "budget multiplier bracket diverged; model is "
+                "degenerate")
+    else:
+        if np.any(spend(hi) > budgets):
+            raise ConfigurationError(
+                "budget multiplier bracket diverged; model is "
+                "degenerate")
+    for _ in range(_BISECT_SWEEPS):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid <= lo) | (mid >= hi)):
+            break
+        high = spend(mid) > budgets
+        lo = np.where(high, mid, lo)
+        hi = np.where(high, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def jacobi_sweep(e: np.ndarray, c: np.ndarray, params: "GameParameters",

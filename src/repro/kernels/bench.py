@@ -77,7 +77,8 @@ TYPESPACE_K = 512
 #: with a note, never silently).
 TYPESPACE_EXACT_MAX_N = 10_000
 
-_SOLVERS = ("connected", "standalone", "extragradient")
+_SOLVERS = ("connected", "connected-bound", "standalone",
+            "extragradient")
 
 
 @dataclass
@@ -85,8 +86,8 @@ class BenchCaseResult:
     """Timing and convergence record of one (solver, kernel, n) case.
 
     Attributes:
-        solver: ``"connected"``, ``"standalone"``, or
-            ``"extragradient"``.
+        solver: ``"connected"``, ``"connected-bound"``,
+            ``"standalone"``, or ``"extragradient"``.
         kernel: Kernel the case ran with (``scalar`` / ``running`` /
             ``vectorized``).
         n: Miner count.
@@ -278,6 +279,47 @@ def _connected_cases(sizes: Sequence[int], repeats: int,
                     params, prices, max_iter=max_iter, kernel=kernel)
 
             out.append(_time_case("connected", kernel, n, solve,
+                                  repeats, max_iter, capped))
+    return out
+
+
+def _connected_bound_cases(sizes: Sequence[int], repeats: int,
+                           notes: List[str]) -> List[BenchCaseResult]:
+    """Connected solves whose budgets bind for about half the miners.
+
+    Budgets ramp evenly from 0.5x to 1.5x the Corollary 1 spend
+    (:func:`~repro.core.closed_form.binding_budget_threshold`), so the
+    sweeping kernels spend their time in the budget-multiplier solve
+    (Eq. 15) that the ``connected`` cases, slack at ``B = 200``, never
+    reach. Same prices, game and capping policy as ``connected``.
+    """
+    import numpy as np
+
+    from ..core.closed_form import binding_budget_threshold
+    from ..core.nep import solve_connected_equilibrium
+    from ..core.params import GameParameters, Prices
+
+    prices = Prices(p_e=2.0, p_c=1.0)
+    out = []
+    for n in sizes:
+        spend = binding_budget_threshold(n, 1000.0, 0.2, 0.8)
+        params = GameParameters(reward=1000.0, fork_rate=0.2, h=0.8,
+                                budgets=spend * np.linspace(0.5, 1.5, n))
+        for kernel in ("scalar", "running"):
+            capped = n >= SWEEP_CAP_AT
+            max_iter = SWEEP_CAP if capped else 3000
+            if capped:
+                notes.append(
+                    f"connected-bound/{kernel}/n={n}: sweep cap "
+                    f"max_iter={SWEEP_CAP}; timings are lower bounds")
+
+            def solve(params: "GameParameters" = params,
+                      kernel: str = kernel,
+                      max_iter: int = max_iter) -> "MinerEquilibrium":
+                return solve_connected_equilibrium(
+                    params, prices, max_iter=max_iter, kernel=kernel)
+
+            out.append(_time_case("connected-bound", kernel, n, solve,
                                   repeats, max_iter, capped))
     return out
 
@@ -491,8 +533,9 @@ def run_bench(sizes: Optional[Sequence[int]] = None,
         repeats: Timed solves per case (median/p95 statistics);
             defaults to 3 when ``quick`` else 5.
         quick: CI-smoke preset — small sizes, fewer repeats.
-        solvers: Subset of ``("connected", "standalone",
-            "extragradient")`` to run; ``None`` runs all three.
+        solvers: Subset of ``("connected", "connected-bound",
+            "standalone", "extragradient")`` to run; ``None`` runs all
+            four.
         typespace_sizes: Miner counts of the compressed type-space
             cases (heterogeneous budgets, ``k = TYPESPACE_K``);
             defaults to :data:`TYPESPACE_SIZES` on full *preset* runs
@@ -534,6 +577,8 @@ def run_bench(sizes: Optional[Sequence[int]] = None,
     cases: List[BenchCaseResult] = []
     if "connected" in chosen:
         cases.extend(_connected_cases(sizes, repeats, notes))
+    if "connected-bound" in chosen:
+        cases.extend(_connected_bound_cases(sizes, repeats, notes))
     if "standalone" in chosen:
         cases.extend(_standalone_cases(sizes, repeats, notes))
     if "extragradient" in chosen:

@@ -47,7 +47,8 @@ class GuardedSolution:
         value: The accepted solver result (unmodified).
         solver: Name of the fallback step that produced it.
         degraded: True when any step before the accepted one failed, or
-            the accepted result itself is only a stalled approximation.
+            the accepted result itself is only a stalled approximation
+            (a non-converged report whose residuals plateaued).
         attempts: Step names tried, in order.
         failures: Step name -> reason it was rejected.
         diagnosis: :func:`~repro.game.diagnostics.classify_residuals`
@@ -161,7 +162,12 @@ class SolverGuard:
                 diagnosis = classify_residuals(report.history,
                                                report.tolerance)
             if reason is None:
-                degraded = bool(failures) or diagnosis == "stalled"
+                # A converged report is evidence in itself: its history
+                # may be a one-entry certificate (the type-space bound),
+                # which reads "stalled" without being a plateau.
+                stalled = (report is not None and not report.converged
+                           and diagnosis == "stalled")
+                degraded = bool(failures) or stalled
                 return GuardedSolution(value=value, solver=step.name,
                                        degraded=degraded,
                                        attempts=attempts,

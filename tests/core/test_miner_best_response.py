@@ -1,11 +1,14 @@
 """Semi-analytic miner best response vs an independent SLSQP optimizer."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from repro.core import miner_best_response as mbr
 from repro.core.miner_best_response import (BestResponse, ResponseContext,
                                             solve_best_response)
 from repro.exceptions import ConfigurationError
@@ -55,6 +58,9 @@ class TestAgainstSLSQP:
         (40.0, 160.0, 1000.0, 0.2, 0.8, 2.0, 1.9, 200.0, 0.0),   # near bound
         (40.0, 160.0, 1000.0, 0.2, 0.8, 1.0, 2.0, 200.0, 0.0),   # p_e < p_c
         (40.0, 160.0, 1000.0, 0.0, 0.8, 2.0, 1.0, 200.0, 0.0),   # beta 0
+        # No edge pool, p_e < p_c < p_e + nu: the budget falls inside the
+        # spending jump where the goods swap order (lambda_0 = 2).
+        (1.0, 1.0, 800.0, 0.0, 1.0, 1.0, 2.0, 11.0, 3.0),
     ]
 
     @pytest.mark.parametrize("case", CASES)
@@ -91,6 +97,123 @@ class TestAgainstSLSQP:
         u_analytic = _utility(br.e, br.c, ctx, 800.0, beta, h, p_e, p_c)
         u_ref, _ = _slsqp_reference(ctx, 800.0, beta, h, p_e, p_c, budget)
         assert u_analytic >= u_ref - 1e-4 * max(abs(u_ref), 1.0)
+
+
+REWARD = 800.0
+
+
+def _lagrangian_candidate(ctx, beta, h, p_e, p_c, nu):
+    """The kernel's stationary point at a fixed budget multiplier."""
+    def candidate(lam):
+        return mbr._candidate(REWARD, beta, beta * h, ctx, p_e + nu, p_c,
+                              p_e, p_c, lam)
+    return candidate
+
+
+def _bracketed_reference(ctx, beta, h, p_e, p_c, budget, nu):
+    """Bracket + brentq on the spending curve: the reference multiplier."""
+    candidate = _lagrangian_candidate(ctx, beta, h, p_e, p_c, nu)
+
+    def spend(lam):
+        e, c = candidate(lam)
+        return p_e * e + p_c * c
+
+    lam = mbr._bracketed_multiplier(spend, budget)
+    e, c = candidate(lam)
+    scale = budget / (p_e * e + p_c * c)
+    return lam, e * scale, c * scale
+
+
+def _binding_budget(ctx, beta, h, p_e, p_c, nu, frac):
+    """``frac`` of the unconstrained (λ = 0) spend, which then binds."""
+    e0, c0 = _lagrangian_candidate(ctx, beta, h, p_e, p_c, nu)(0.0)
+    return frac * (p_e * e0 + p_c * c0)
+
+
+def _closed_form_accepted(ctx, beta, h, p_e, p_c, budget, nu):
+    lam = mbr._interior_multiplier(REWARD, beta, beta * h, ctx, p_e, p_c,
+                                   budget, nu)
+    if lam is None:
+        return False
+    e, c = _lagrangian_candidate(ctx, beta, h, p_e, p_c, nu)(lam)
+    return e > 0.0 and c > 0.0
+
+
+NUS = st.one_of(st.just(0.0), st.floats(0.01, 3.0))
+
+
+class TestBudgetMultiplier:
+    """Eq. (15) closed form / Newton against the bracketed root."""
+
+    @given(st.floats(0.5, 30.0), st.floats(0.5, 300.0),
+           st.floats(0.1, 0.9), st.floats(0.3, 1.0),
+           st.floats(0.2, 3.0), st.floats(0.05, 3.0), NUS,
+           st.floats(0.5, 0.98))
+    @settings(max_examples=80, deadline=None)
+    def test_closed_form_matches_bracketed_root(self, e_o, s_extra, beta,
+                                                h, p_c, dp, nu, frac):
+        ctx = ResponseContext(e_others=e_o, s_others=e_o + s_extra)
+        p_e = p_c + dp
+        budget = _binding_budget(ctx, beta, h, p_e, p_c, nu, frac)
+        assume(budget > 0.0)
+        assume(_closed_form_accepted(ctx, beta, h, p_e, p_c, budget, nu))
+        with mock.patch.object(mbr, "_bracketed_multiplier",
+                               wraps=mbr._bracketed_multiplier) as spy:
+            br = solve_best_response(ctx, reward=REWARD, beta=beta, h=h,
+                                     p_e=p_e, p_c=p_c, budget=budget,
+                                     nu=nu)
+        assert not spy.called
+        lam, e_ref, c_ref = _bracketed_reference(ctx, beta, h, p_e, p_c,
+                                                 budget, nu)
+        assert br.e == pytest.approx(e_ref, rel=1e-12)
+        assert br.c == pytest.approx(c_ref, rel=1e-12)
+        assert br.budget_multiplier == pytest.approx(lam, rel=1e-9,
+                                                     abs=1e-12)
+        assert br.spending == budget
+        assert p_e * br.e + p_c * br.c == pytest.approx(budget, rel=1e-12)
+
+    def test_nu_zero_is_eq15(self):
+        # At ν = 0 the multiplier is the paper's Eq. (15) in closed form.
+        ctx = ResponseContext(e_others=40.0, s_others=160.0)
+        reward, beta, h, p_e, p_c, budget = 1000.0, 0.2, 0.8, 2.0, 1.0, 50.0
+        sigma1 = np.sqrt(beta * h * reward / (p_e - p_c))
+        sigma2 = np.sqrt((1.0 - beta) * reward / p_c)
+        t = (budget + (p_e - p_c) * 40.0 + p_c * 160.0) / (
+            (p_e - p_c) * sigma1 * np.sqrt(40.0)
+            + p_c * sigma2 * np.sqrt(160.0))
+        br = solve_best_response(ctx, reward=reward, beta=beta, h=h,
+                                 p_e=p_e, p_c=p_c, budget=budget)
+        assert br.budget_multiplier == pytest.approx(1.0 / t ** 2 - 1.0,
+                                                     rel=1e-12)
+
+    # β >= 0.02 keeps an edge pool (γ ē > 0), so the only way past the
+    # closed form is a binding corner and the bracketed root.
+    @given(st.floats(0.5, 300.0), st.floats(0.5, 300.0),
+           st.floats(0.02, 0.6), st.floats(0.1, 1.0),
+           st.floats(0.3, 4.0), st.floats(0.2, 3.0), NUS,
+           st.floats(0.02, 0.98))
+    @settings(max_examples=40, deadline=None)
+    def test_corner_takes_fallback_and_matches_slsqp(self, e_o, s_extra,
+                                                     beta, h, p_e, p_c,
+                                                     nu, frac):
+        ctx = ResponseContext(e_others=e_o, s_others=e_o + s_extra)
+        budget = _binding_budget(ctx, beta, h, p_e, p_c, nu, frac)
+        assume(budget > 1e-3)
+        assume(not _closed_form_accepted(ctx, beta, h, p_e, p_c, budget,
+                                         nu))
+        with mock.patch.object(mbr, "_bracketed_multiplier",
+                               wraps=mbr._bracketed_multiplier) as spy:
+            br = solve_best_response(ctx, reward=REWARD, beta=beta, h=h,
+                                     p_e=p_e, p_c=p_c, budget=budget,
+                                     nu=nu)
+        assert spy.called
+        assert br.e >= 0.0 and br.c >= 0.0
+        assert p_e * br.e + p_c * br.c <= budget * (1 + 1e-9)
+        u_analytic = _utility(br.e, br.c, ctx, REWARD, beta, h, p_e + nu,
+                              p_c)
+        u_ref, _ = _slsqp_reference(ctx, REWARD, beta, h, p_e, p_c,
+                                    budget, nu)
+        assert u_analytic >= u_ref - 1e-5 * max(abs(u_ref), 1.0)
 
 
 class TestStructure:

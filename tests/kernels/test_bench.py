@@ -164,6 +164,16 @@ class TestRunBench:
         scalar = next(c for c in report.cases if c.kernel == "scalar")
         assert scalar.counters.get("br_sweeps", 0) > 0
 
+    def test_connected_bound_family(self):
+        # Its own solver label: the connected case ids stay unchanged.
+        report = run_bench(sizes=(4,), repeats=1,
+                           solvers=("connected-bound",))
+        ids = {c.case_id for c in report.cases}
+        assert ids == {"connected-bound/scalar/n=4",
+                       "connected-bound/running/n=4"}
+        assert all(c.converged for c in report.cases)
+        assert report.speedups == {}
+
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
             run_bench(sizes=(1,))

@@ -11,12 +11,13 @@ solve would measure the reference's truncation, not the kernel's error.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (EdgeMode, GameParameters, Prices, homogeneous,
                         solve_connected_equilibrium,
                         solve_standalone_equilibrium)
+from repro.core import miner_best_response as mbr
 from repro.core.gnep import solve_standalone_extragradient
 from repro.core.miner_best_response import (ResponseContext,
                                             solve_best_response)
@@ -45,6 +46,11 @@ class TestBatchedBestResponse:
            st.floats(0.3, 4.0), st.floats(0.2, 3.0),
            st.floats(5.0, 500.0), st.floats(0.0, 3.0))
     @settings(max_examples=80, deadline=None)
+    # No edge pool with p_e < p_c < p_e + nu: the budget sits inside the
+    # spending jump where the goods swap order, so both kernels must
+    # return the mix that spends it exactly.
+    @example(e_o=1.0, s_extra=0.0, beta=0.0, h=1.0, p_e=1.0, p_c=2.0,
+             budget=11.0, nu=3.0)
     def test_single_lane_matches_scalar(self, e_o, s_extra, beta, h,
                                         p_e, p_c, budget, nu):
         s_o = e_o + s_extra
@@ -57,6 +63,43 @@ class TestBatchedBestResponse:
         scale = max(1.0, abs(scalar.e), abs(scalar.c))
         assert abs(batch.e[0] - scalar.e) / scale < 1e-9
         assert abs(batch.c[0] - scalar.c) / scale < 1e-9
+        assert p_e * batch.e[0] + p_c * batch.c[0] <= budget * (1 + 1e-9)
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.one_of(st.just(0.0), st.floats(0.01, 3.0)))
+    @settings(max_examples=30, deadline=None)
+    def test_binding_lanes_match_scalar(self, seed, nu):
+        # Every lane binds (budgets below the λ = 0 spend); mixed lanes
+        # take Eq. (15) in both kernels and agree to rounding, corner
+        # lanes take the bracketed roots and agree within the contract.
+        rng = np.random.default_rng(seed)
+        n = 48
+        e_o = rng.uniform(0.5, 60.0, size=n)
+        s_o = e_o + rng.uniform(0.5, 300.0, size=n)
+        beta = float(rng.uniform(0.05, 0.9))
+        h = float(rng.uniform(0.3, 1.0))
+        p_c = float(rng.uniform(0.2, 3.0))
+        p_e = p_c + float(rng.uniform(-0.15, 3.0))
+        kw = dict(reward=800.0, beta=beta, h=h, p_e=p_e, p_c=p_c, nu=nu)
+        free = batched_best_response(e_o, s_o, budgets=np.full(n, 1e12),
+                                     **kw)
+        budgets = free.spending * rng.uniform(0.05, 0.98, size=n)
+        assume(np.all(budgets > 1e-3))
+        batch = batched_best_response(e_o, s_o, budgets=budgets, **kw)
+        for i in range(n):
+            ctx = ResponseContext(e_others=float(e_o[i]),
+                                  s_others=float(s_o[i]))
+            scalar = solve_best_response(ctx, budget=float(budgets[i]),
+                                         **kw)
+            lam = mbr._interior_multiplier(800.0, beta, beta * h, ctx,
+                                           p_e, p_c, float(budgets[i]), nu)
+            mixed = lam is not None and scalar.e > 0.0 and scalar.c > 0.0
+            tol = 1e-12 if mixed else 1e-9
+            scale = max(1.0, abs(scalar.e), abs(scalar.c))
+            assert abs(batch.e[i] - scalar.e) / scale < tol
+            assert abs(batch.c[i] - scalar.c) / scale < tol
+            assert batch.spending[i] == pytest.approx(budgets[i],
+                                                      rel=1e-12)
 
     def test_many_lanes_match_scalar_loop(self):
         rng = np.random.default_rng(7)

@@ -207,3 +207,14 @@ class TestServingIntegration:
         assert res.value.error_bound is not None
         again = engine.serve(ScenarioSpec(params, PRICES, n_types=8))
         assert again.source in ("memory", "disk")
+
+    def test_guarded_compressed_answer_is_not_degraded(self):
+        # The certified bound travels as a one-entry residual history;
+        # the guard must not read it as a stalled solve.
+        from repro.serving import ScenarioSpec, ServingEngine
+        params = _bound_game(128, seed=17)
+        engine = ServingEngine(warm_start=False, use_guard=True)
+        res = engine.serve(ScenarioSpec(params, PRICES, n_types=8))
+        assert res.ok and res.value.report.converged
+        assert res.value.error_bound > 0.0
+        assert not res.degraded

@@ -99,6 +99,25 @@ class TestSolverGuard:
         assert guarded.degraded
         assert guarded.diagnosis == "stalled"
 
+    def test_converged_certificate_history_is_not_degraded(self):
+        # A certified answer reports its bound as a one-entry history;
+        # the report converged, so the plateau reading does not apply.
+        certified = _FakeResult([1.0], [1.0],
+                                _report(True, [17.0], tol=1e-9))
+        guarded = SolverGuard().run([FallbackStep("primary",
+                                                  lambda: certified)])
+        assert guarded.value is certified
+        assert guarded.diagnosis == "stalled"
+        assert not guarded.degraded
+
+    def test_non_converged_one_entry_history_stays_degraded(self):
+        stalled = _FakeResult([1.0], [1.0],
+                              _report(False, [17.0], tol=1e-9))
+        guarded = SolverGuard().run([FallbackStep("primary",
+                                                  lambda: stalled)])
+        assert guarded.value is stalled
+        assert guarded.degraded
+
     def test_stalled_rejected_when_configured(self):
         stalled = _FakeResult([1.0], [1.0],
                               _report(False, [0.5] * 30, tol=1e-9))
