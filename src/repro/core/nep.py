@@ -209,7 +209,7 @@ def _solve_vectorized(params: GameParameters, prices: Prices, tol: float,
     here).
     """
     from ..kernels.aggregate import solve_connected_aggregate
-    from ..kernels.batched_br import jacobi_sweep
+    from ..kernels.batched_br import certify_sweep
 
     sweep_hist = (_TEL.metrics.histogram(
         "br_sweep_seconds", "Best-response sweep / kernel-solve latency",
@@ -219,15 +219,9 @@ def _solve_vectorized(params: GameParameters, prices: Prices, tol: float,
     sol = solve_connected_aggregate(params, prices, nu=_nu)
     if sweep_hist is not None:
         sweep_hist.observe(time.perf_counter() - t0)
-    # One exact batched best-response sweep certifies the profile: at
-    # the true equilibrium BR(x*) = x*, so the sweep residual bounds the
-    # aggregate kernel's error through the BR map's local Lipschitz
-    # constant.
-    e_br, c_br = jacobi_sweep(sol.e, sol.c, params, prices, nu=_nu)
-    scale = max(1.0, float(np.max(np.abs(e_br))),
-                float(np.max(np.abs(c_br))))
-    residual = max(float(np.max(np.abs(e_br - sol.e))),
-                   float(np.max(np.abs(c_br - sol.c)))) / scale
+    # One exact batched best-response sweep certifies the profile.
+    e_br, c_br, residual = certify_sweep(sol.e, sol.c, params, prices,
+                                         nu=_nu)
     if not residual < tol:
         return None
     report = ConvergenceReport(

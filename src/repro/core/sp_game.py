@@ -8,13 +8,13 @@ subgame equilibrium* as the demand curve:
 
 where ``(E*, C*)`` come from the mode-appropriate follower solver (NEP in
 connected mode, GNEP variational equilibrium in standalone mode). Demand
-evaluation is memoized and warm-started because every scalar price
-optimization queries it many times.
+evaluation is memoized because every scalar price optimization queries
+it many times, and answered in closed form wherever one applies.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -30,65 +30,103 @@ from .params import EdgeMode, GameParameters, Prices
 __all__ = ["DemandOracle", "esp_best_response", "csp_best_response"]
 
 
+def _separable_shares(params: GameParameters
+                      ) -> Tuple[float, np.ndarray, int]:
+    """``σ = P_c·S*``, the shares ``w_i`` and the number of binding
+    budgets of the mixed-region equilibrium (docs/THEORY.md §3,
+    "Heterogeneous budgets").
+
+    ``σ`` and ``w_i`` are price-free: ``σ`` is the root of the strictly
+    decreasing ``Σ_i min(1 − σ/(aR), a B_i/(D σ)) = 1`` and ``w_i`` is
+    that min.
+    The binding miners are the ``m`` smallest budgets, so ``σ`` is the
+    positive root of one quadratic per prefix,
+    ``(n−m)σ²/(aR) − (n−m−1)σ = a Σ_{i≤m} B_(i)/D``; the prefix whose
+    root keeps exactly its own miners binding is the answer.
+    """
+    a = 1.0 - params.fork_rate
+    d = a + params.fork_rate * params.effective_h
+    ar = a * params.reward
+    budgets = params.budget_array
+    n = budgets.shape[0]
+    ranked = np.sort(budgets)
+    free = n - np.arange(n + 1, dtype=float)
+    spend = a * np.concatenate(([0.0], np.cumsum(ranked))) / d
+    quad = np.where(free > 0.0, free / ar, 1.0)
+    sigma = np.where(free > 0.0,
+                     (free - 1.0 + np.sqrt((free - 1.0) ** 2
+                                           + 4.0 * quad * spend))
+                     / (2.0 * quad),
+                     spend)
+    # Miner i binds at σ iff B_i < (D/a)·σ·(1 − σ/(aR)).  Prefix m is
+    # consistent when B_(m) ≤ that bar ≤ B_(m+1); rounding at a tie can
+    # leave none exactly so, and the least violated prefix is then exact
+    # to rounding (certification decides).
+    bar = d * sigma * (1.0 - sigma / ar) / a
+    miss = np.maximum(np.concatenate(([-np.inf], ranked)) - bar,
+                      bar - np.concatenate((ranked, [np.inf])))
+    m = int(np.argmin(miss))
+    s = float(sigma[m])
+    return s, np.minimum(1.0 - s / ar, a * budgets / (d * s)), m
+
+
 class DemandOracle:
-    """Memoized, warm-started miner-equilibrium demand ``(E*, C*)(P)``.
+    """Memoized miner-equilibrium demand ``(E*, C*)(P)``.
 
     The oracle dispatches on the game's edge operation mode and caches
-    equilibria keyed by rounded prices. For homogeneous games it answers
-    from the exact closed forms of
-    :mod:`repro.core.homogeneous_demand` (``fast="auto"``, the default),
-    falling back to the iterative solvers in corner regimes the closed
-    forms do not cover; ``fast=False`` forces the iterative path (used by
-    the tests that cross-validate the two).  ``kernel`` selects the
-    follower-solver kernel on the iterative paths (see
-    :func:`~repro.core.nep.solve_connected_equilibrium`); the closed
-    forms ignore it.  ``n_types`` compresses heterogeneous populations
-    into weighted budget types on the iterative paths
-    (:mod:`repro.kernels.typespace`); the closed forms (homogeneous
-    games) ignore it — they are already one-type exact.
+    equilibria keyed by rounded prices.  With ``fast=True`` (the
+    default) it answers from exact closed forms wherever they apply,
+    whatever ``kernel`` is:
 
-    Price *grids* can be evaluated in one shot through
-    :meth:`equilibria`, which routes compatible uncached points into
-    the cross-scenario batched kernel
-    (:mod:`repro.kernels.multiscenario`) — bit-identical to per-point
-    evaluation, several times faster on cold grids.
+    * homogeneous games: :mod:`repro.core.homogeneous_demand`, falling
+      back to the iterative solvers in corner regimes it does not cover;
+    * heterogeneous connected games with ``βh > 0`` and no ``n_types``,
+      at prices in the mixed region ``P_c < (1-β)P_e/D``: the separable
+      equilibrium ``e_i = w_i E*``, ``c_i = w_i (σ/P_c − E*)`` with
+      ``E* = βhσ/((1-β)(P_e − P_c))``, where ``σ`` and the shares
+      ``w_i`` are solved once per game (:func:`_separable_shares`).
+      Each answer is certified by one exact best-response sweep
+      (:func:`~repro.kernels.batched_br.certify_sweep`) whose residual
+      goes into its report; a miss falls back.
+
+    Everything else — ``fast=False``, standalone mode, ``n_types``,
+    prices outside the mixed region — runs the iterative solver
+    selected by ``kernel`` (see
+    :func:`~repro.core.nep.solve_connected_equilibrium`), compressed
+    into weighted budget types when ``n_types`` is set
+    (:mod:`repro.kernels.typespace`).  Every iterative solve starts
+    from :func:`~repro.core.nep.initial_profile`, so the demand at a
+    price never depends on the order of the probes.
     """
 
     #: Rounding (decimal places) for the memo key.
     _KEY_DECIMALS = 12
 
     def __init__(self, params: GameParameters, tol: float = 1e-9,
-                 max_iter: int = 3000, fast: str = "auto",
-                 warm_profile: Optional[Tuple[np.ndarray,
-                                              np.ndarray]] = None,
+                 max_iter: int = 3000, fast: bool = True,
                  kernel: str = "scalar",
                  n_types: Optional[int] = None) -> None:
-        if fast not in ("auto", False, True):
-            raise ConfigurationError("fast must be 'auto', True or False")
+        if not isinstance(fast, bool):
+            raise ConfigurationError("fast must be True or False")
+        # Closed forms never reach the solver, so check the kernel here.
+        resolve_kernel(kernel, params.n)
         self.params = params
         self.tol = tol
         self.max_iter = max_iter
         self.kernel = kernel
         self.n_types = n_types
-        self.fast = (params.is_homogeneous if fast == "auto" else bool(fast))
-        if self.fast and not params.is_homogeneous:
-            raise ConfigurationError(
-                "fast closed-form demand requires homogeneous miners")
-        if warm_profile is not None:
-            e0 = np.asarray(warm_profile[0], dtype=float)
-            c0 = np.asarray(warm_profile[1], dtype=float)
-            if e0.shape != (params.n,) or c0.shape != (params.n,):
-                raise ConfigurationError(
-                    "warm_profile shape mismatch: expected two arrays of "
-                    f"shape ({params.n},)")
-            warm_profile = (e0, c0)
-        self._warm_profile = warm_profile
+        self.fast = fast
+        self._homogeneous = params.is_homogeneous
+        self._separable = (fast and not self._homogeneous
+                           and params.mode is EdgeMode.CONNECTED
+                           and n_types is None
+                           and params.fork_rate * params.effective_h > 0.0)
+        self._shares: Optional[Tuple[float, np.ndarray, int]] = None
         self._cache: Dict[Tuple[float, float], MinerEquilibrium] = {}
-        self._last: Optional[MinerEquilibrium] = None
         self.evaluations = 0
         self.fallbacks = 0
 
-    def _closed_form(self, prices: Prices) -> MinerEquilibrium:
+    def _homogeneous_form(self, prices: Prices) -> MinerEquilibrium:
         demand = homogeneous_demand(self.params, prices)
         n = self.params.n
         report = ConvergenceReport(converged=True, iterations=0,
@@ -99,6 +137,31 @@ class DemandOracle:
                                 params=self.params, prices=prices,
                                 report=report, nu=demand.nu)
 
+    def _separable_form(self, prices: Prices
+                        ) -> Optional[MinerEquilibrium]:
+        """Certified separable equilibrium, ``None`` on a miss."""
+        from ..kernels.batched_br import certify_sweep
+
+        params = self.params
+        if self._shares is None:
+            self._shares = _separable_shares(params)
+        sigma, w, bound = self._shares
+        a = 1.0 - params.fork_rate
+        edge = (params.fork_rate * params.effective_h * sigma
+                / (a * (prices.p_e - prices.p_c)))
+        e = w * edge
+        c = w * (sigma / prices.p_c - edge)
+        residual = certify_sweep(e, c, params, prices)[2]
+        if not residual < self.tol:
+            return None
+        report = ConvergenceReport(
+            converged=True, iterations=0, residual=residual,
+            tolerance=self.tol, history=[residual],
+            message=(f"closed form (separable, {bound} of {params.n} "
+                     "budgets bind; residual of one exact sweep)"))
+        return MinerEquilibrium(e=e, c=c, params=params, prices=prices,
+                                report=report)
+
     def equilibrium(self, prices: Prices) -> MinerEquilibrium:
         """Miner-subgame equilibrium at ``prices`` (cached)."""
         key = (round(prices.p_e, self._KEY_DECIMALS),
@@ -108,100 +171,30 @@ class DemandOracle:
             return hit
         self.evaluations += 1
         eq = None
-        if self.fast:
+        if self.fast and self._homogeneous:
             try:
-                eq = self._closed_form(prices)
+                eq = self._homogeneous_form(prices)
             except ConfigurationError:
                 self.fallbacks += 1
+        elif (self._separable
+              and prices.p_c < self.params.mixed_price_bound(prices.p_e)):
+            eq = self._separable_form(prices)
+            if eq is None:
+                self.fallbacks += 1
         if eq is None:
-            # Seed only the very first iterative solve from the external
-            # warm profile; afterwards the oracle chains its own last
-            # equilibrium exactly as it always has, so a ``None`` seed is
-            # bit-identical to the legacy behaviour.
-            seed = self._warm_profile if self._last is None else None
             if self.params.mode is EdgeMode.STANDALONE:
                 eq = solve_standalone_equilibrium(self.params, prices,
                                                   tol=self.tol,
-                                                  initial=seed,
                                                   kernel=self.kernel,
                                                   n_types=self.n_types)
             else:
-                warm = seed
-                if self._last is not None:
-                    warm = (self._last.e, self._last.c)
                 eq = solve_connected_equilibrium(self.params, prices,
                                                  tol=self.tol,
                                                  max_iter=self.max_iter,
-                                                 initial=warm,
                                                  kernel=self.kernel,
                                                  n_types=self.n_types)
         self._cache[key] = eq
-        self._last = eq
         return eq
-
-    def _batchable(self) -> bool:
-        """Whether uncached points can go through the batched kernel."""
-        return (not self.fast
-                and self.params.mode is EdgeMode.CONNECTED
-                and self.n_types is None
-                and resolve_kernel(self.kernel, self.params.n)
-                == "vectorized")
-
-    def equilibria(self, price_grid: Sequence[Prices]
-                   ) -> List[MinerEquilibrium]:
-        """Batch-evaluate the demand curve on a price grid (cached).
-
-        Uncached grid points whose follower solve is *batchable* —
-        connected mode on the iterative path, kernel resolving to the
-        aggregate (``"vectorized"``) solver, no type-space compression
-        — are answered by one cross-scenario batched kernel call
-        (:func:`repro.kernels.multiscenario.solve_connected_multiscenario`),
-        **bit-identical** to evaluating each point through
-        :meth:`equilibrium` one at a time (the aggregate kernel ignores
-        warm starts, so chaining order cannot change results).  Points
-        the batch cannot certify, and every non-batchable configuration
-        (standalone mode, closed forms, the sweep kernels), fall back
-        to per-point :meth:`equilibrium` calls.
-
-        Returns one equilibrium per grid point, in input order; every
-        solved point is admitted to the oracle's memo cache.
-        """
-        out: Dict[int, MinerEquilibrium] = {}
-        pending: List[Tuple[int, Prices,
-                            Tuple[float, float]]] = []
-        for idx, prices in enumerate(price_grid):
-            key = (round(prices.p_e, self._KEY_DECIMALS),
-                   round(prices.p_c, self._KEY_DECIMALS))
-            hit = self._cache.get(key)
-            if hit is not None:
-                out[idx] = hit
-            else:
-                pending.append((idx, prices, key))
-        if self._batchable() and len(pending) > 1:
-            from ..kernels.multiscenario import \
-                solve_connected_multiscenario
-            try:
-                solved = solve_connected_multiscenario(
-                    [(self.params, prices)
-                     for _, prices, _ in pending], tol=self.tol)
-            except Exception:  # repro: noqa[RPR007] — batch-level
-                # capture boundary: a failed batch falls back to the
-                # per-point path, which raises errors properly.
-                solved = [None] * len(pending)
-            still: List[Tuple[int, Prices,
-                              Tuple[float, float]]] = []
-            for (idx, prices, key), eq in zip(pending, solved):
-                if eq is None:
-                    still.append((idx, prices, key))
-                    continue
-                self.evaluations += 1
-                self._cache[key] = eq
-                self._last = eq
-                out[idx] = eq
-            pending = still
-        for idx, prices, _ in pending:
-            out[idx] = self.equilibrium(prices)
-        return [out[i] for i in range(len(price_grid))]
 
     def edge_demand(self, prices: Prices) -> float:
         """``E*(P)``."""

@@ -17,7 +17,7 @@ leaders then play a non-cooperative pricing game on that induced demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -89,11 +89,8 @@ def solve_stackelberg(params: GameParameters,
                       damping: float = 1.0,
                       raise_on_failure: bool = False,
                       warm_start: Optional[Prices] = None,
-                      warm_profile: Optional[Tuple[np.ndarray,
-                                                   np.ndarray]] = None,
                       kernel: str = "scalar",
                       n_types: Optional[int] = None,
-                      price_grid: Optional[Sequence[Prices]] = None,
                       ) -> StackelbergEquilibrium:
     """Compute a Stackelberg equilibrium of the full game.
 
@@ -131,25 +128,13 @@ def solve_stackelberg(params: GameParameters,
             search whenever the localized optimum is not interior.
             ``None`` (the default) keeps every path bit-identical to the
             cold solve.
-        warm_profile: Optional miner profile ``(e, c)`` seeding the
-            demand oracle's first iterative follower solve.
         kernel: Follower-solver kernel threaded into the demand oracle
             (see :func:`~repro.core.nep.solve_connected_equilibrium`);
-            homogeneous games answered by the closed forms ignore it.
+            price points the oracle answers in closed form ignore it.
         n_types: Compress heterogeneous miners into weighted budget
             types for every follower solve behind the demand oracle
             (certified approximation, :mod:`repro.kernels.typespace`);
             ``None`` keeps the exact per-miner follower solver.
-        price_grid: Optional price points to pre-solve into the demand
-            oracle's memo cache through one cross-scenario batched
-            kernel call (:meth:`DemandOracle.equilibria
-            <repro.core.sp_game.DemandOracle.equilibria>`) before the
-            leader iteration starts. Useful when the caller knows the
-            prices the search will visit (e.g. a fixed evaluation
-            grid); each pre-solved point is bit-identical to the solve
-            the leader iteration would have triggered, so the result
-            is unchanged — only cheaper. ``None`` (default) keeps the
-            legacy single-solve path exactly.
 
     Returns:
         :class:`StackelbergEquilibrium`.
@@ -158,11 +143,8 @@ def solve_stackelberg(params: GameParameters,
         scheme = "esp-anticipates"
     if scheme not in ("best-response", "esp-anticipates"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    oracle = DemandOracle(params, tol=demand_tol,
-                          warm_profile=warm_profile, kernel=kernel,
+    oracle = DemandOracle(params, tol=demand_tol, kernel=kernel,
                           n_types=n_types)
-    if price_grid is not None:
-        oracle.equilibria(list(price_grid))
     if initial is None and warm_start is not None:
         initial = warm_start
     prices = _initial_prices(params, initial)

@@ -45,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.params import GameParameters, Prices
 
 __all__ = ["BatchedBestResponse", "batched_best_response",
-           "jacobi_sweep", "gauss_seidel_sweep_running"]
+           "jacobi_sweep", "certify_sweep", "gauss_seidel_sweep_running"]
 
 #: Absolute spending slack below which the budget is considered free,
 #: matching ``repro.core.miner_best_response._TOL``.
@@ -454,6 +454,24 @@ def jacobi_sweep(e: np.ndarray, c: np.ndarray, params: "GameParameters",
         h=params.effective_h, p_e=prices.p_e, p_c=prices.p_c,
         budgets=params.budget_array, nu=nu)
     return br.e, br.c
+
+
+def certify_sweep(e: np.ndarray, c: np.ndarray, params: "GameParameters",
+                  prices: "Prices", nu: float = 0.0
+                  ) -> Tuple[np.ndarray, np.ndarray, float]:
+    """One exact :func:`jacobi_sweep` from ``(e, c)`` and its residual.
+
+    At the true equilibrium ``BR(x*) = x*``, so the sweep's largest
+    move, relative to ``max(1, ‖BR(x)‖_∞)``, bounds a candidate
+    profile's error through the BR map's local Lipschitz constant.
+    Returns the sweep output ``(e_br, c_br)`` and that residual.
+    """
+    e_br, c_br = jacobi_sweep(e, c, params, prices, nu=nu)
+    scale = max(1.0, float(np.max(np.abs(e_br))),
+                float(np.max(np.abs(c_br))))
+    residual = max(float(np.max(np.abs(e_br - e))),
+                   float(np.max(np.abs(c_br - c)))) / scale
+    return e_br, c_br, residual
 
 
 def gauss_seidel_sweep_running(e: np.ndarray, c: np.ndarray,

@@ -795,7 +795,7 @@ def solve_connected_multiscenario(
     from ..core.nep import MinerEquilibrium
     from ..game.diagnostics import ConvergenceReport
     from ..telemetry import TELEMETRY as _TEL
-    from .batched_br import jacobi_sweep
+    from .batched_br import certify_sweep
 
     if not scenarios:
         return []
@@ -846,12 +846,8 @@ def solve_connected_multiscenario(
         # Identical certification to nep._solve_vectorized: one exact
         # batched best-response sweep; the returned profile is the
         # *sweep output* (BR(x*) = x* at the true equilibrium).
-        e_br, c_br = jacobi_sweep(sol.e[i], sol.c[i], params, prices,
-                                  nu=nu_i)
-        scale = max(1.0, float(np.max(np.abs(e_br))),
-                    float(np.max(np.abs(c_br))))
-        residual = max(float(np.max(np.abs(e_br - sol.e[i]))),
-                       float(np.max(np.abs(c_br - sol.c[i])))) / scale
+        e_br, c_br, residual = certify_sweep(sol.e[i], sol.c[i], params,
+                                             prices, nu=nu_i)
         if not residual < tol:
             results.append(None)
             continue

@@ -107,25 +107,23 @@ def _solve_scenario(spec: ScenarioSpec, warm: Optional[WarmStart],
     ship to a worker process.
     """
     params = spec.params
-    warm_prices = warm.prices if warm is not None else None
-    warm_profile = warm.profile if warm is not None else None
 
     if spec.kind == "stackelberg":
+        warm_prices = warm.prices if warm is not None else None
         if use_guard:
             guarded = guarded_stackelberg(
                 params, guard=SolverGuard(), scheme=spec.scheme,
                 demand_tol=spec.tol, warm_start=warm_prices,
-                warm_profile=warm_profile, kernel=spec.kernel,
-                n_types=spec.n_types)
+                kernel=spec.kernel, n_types=spec.n_types)
             return guarded.value, guarded.solver, guarded.degraded
         se = solve_stackelberg(params, scheme=spec.scheme,
                                demand_tol=spec.tol,
                                warm_start=warm_prices,
-                               warm_profile=warm_profile,
                                kernel=spec.kernel,
                                n_types=spec.n_types)
         return se, f"stackelberg-{se.scheme}", False
 
+    warm_profile = warm.profile if warm is not None else None
     if spec.scheme not in _MINER_SCHEMES:
         raise ConfigurationError(
             f"unknown miner scheme {spec.scheme!r}; expected one of "

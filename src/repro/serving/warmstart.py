@@ -12,7 +12,8 @@ its price search around a neighbor's optimum).
 :class:`WarmStartIndex` keeps one small brute-force index per scenario
 *family* (same kind, mode, scheme, and miner count — see
 :func:`repro.serving.keys.family_key`) and answers ``suggest`` queries
-with the nearest neighbor's prices and miner allocations.
+with the nearest neighbor's prices and, for miner-stage scenarios, its
+miner allocation.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ class WarmStart:
 
     Attributes:
         prices: The neighbor's equilibrium prices (leader stage).
-        profile: The neighbor's miner allocation ``(e, c)``.
+        profile: The neighbor's miner allocation ``(e, c)``; ``None``
+            for a leader-stage neighbor, whose demand oracle takes no
+            starting profile.
         distance: Normalized feature-space distance to the neighbor.
         key: Cache key of the neighbor it came from.
     """
@@ -88,9 +91,6 @@ class WarmStartIndex:
         profile: Optional[Tuple[np.ndarray, np.ndarray]] = None
         if isinstance(result, StackelbergEquilibrium):
             prices = result.prices
-            miners = result.miners
-            profile = (np.array(miners.e, copy=True),
-                       np.array(miners.c, copy=True))
         elif isinstance(result, MinerEquilibrium):
             prices = result.prices
             profile = (np.array(result.e, copy=True),

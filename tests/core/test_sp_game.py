@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.core import (DemandOracle, Prices, csp_best_response,
-                        esp_best_response, homogeneous)
+from repro.core import (DemandOracle, EdgeMode, GameParameters, Prices,
+                        csp_best_response, esp_best_response,
+                        solve_connected_equilibrium,
+                        solve_standalone_equilibrium)
+from repro.core.closed_form import binding_budget_threshold
+from repro.core.homogeneous_demand import homogeneous_demand
 from repro.exceptions import ConfigurationError, InfeasibleGameError
 
 
@@ -29,16 +35,28 @@ class TestDemandOracle:
         assert fast.cloud_demand(prices) == pytest.approx(
             slow.cloud_demand(prices), rel=1e-5)
 
-    def test_heterogeneous_uses_numeric(self, heterogeneous_params, prices):
+    def test_heterogeneous_uses_numeric(self, heterogeneous_params):
+        # P_c above (1-β)P_e/D: no separable closed form applies.
         oracle = DemandOracle(heterogeneous_params)
-        assert not oracle.fast
-        eq = oracle.equilibrium(prices)
+        eq = oracle.equilibrium(Prices(2.0, 1.8))
         assert eq.converged
+        assert not (eq.report.message or "").startswith("closed form")
 
-    def test_fast_forced_on_heterogeneous_rejected(self,
-                                                   heterogeneous_params):
+    def test_fast_forced_on_heterogeneous_accepted(self,
+                                                   heterogeneous_params,
+                                                   prices):
+        # ``fast`` is a plain switch: heterogeneous games have a closed
+        # form too, so there is no "auto" left to resolve.
+        eq = DemandOracle(heterogeneous_params,
+                          fast=True).equilibrium(prices)
+        assert eq.report.message.startswith("closed form (separable")
         with pytest.raises(ConfigurationError):
-            DemandOracle(heterogeneous_params, fast=True)
+            DemandOracle(heterogeneous_params, fast="auto")
+
+    def test_unknown_kernel_rejected_eagerly(self, heterogeneous_params):
+        # In-region probes never reach a solver that would reject it.
+        with pytest.raises(ValueError):
+            DemandOracle(heterogeneous_params, kernel="bogus")
 
     def test_profit_definitions(self, connected_params, prices):
         oracle = DemandOracle(connected_params)
@@ -91,46 +109,127 @@ class TestCSPBestResponse:
             csp_best_response(oracle, p_e=0.05)
 
 
-class TestBatchedEquilibria:
-    def _grid(self, count=10):
-        return [Prices(2.0 + 0.05 * k, 1.0 + 0.02 * k)
-                for k in range(count)]
+def _separable_game(n, beta, h, factors, reward=1000.0):
+    """A connected game whose budgets are ``factors`` times the
+    Corollary 1 threshold, so some budgets bind and some do not."""
+    threshold = binding_budget_threshold(n, reward, beta, h)
+    return GameParameters(reward=reward, fork_rate=beta, h=h,
+                          budgets=[threshold * f for f in factors])
 
-    def test_grid_matches_per_point(self, heterogeneous_params):
-        batched = DemandOracle(heterogeneous_params,
-                               kernel="vectorized")
-        loop = DemandOracle(heterogeneous_params, kernel="vectorized")
-        grid = self._grid()
-        for a, p in zip(batched.equilibria(grid), grid):
-            b = loop.equilibrium(p)
-            np.testing.assert_array_equal(a.e, b.e)
-            np.testing.assert_array_equal(a.c, b.c)
-        assert batched.evaluations == loop.evaluations
 
-    def test_grid_admits_to_cache(self, heterogeneous_params):
-        oracle = DemandOracle(heterogeneous_params, kernel="vectorized")
-        grid = self._grid()
-        oracle.equilibria(grid)
-        before = oracle.evaluations
-        oracle.equilibria(grid)          # pure memo hits
-        oracle.equilibrium(grid[0])      # so is a point query
-        assert oracle.evaluations == before
+def _in_region(params, p_e, frac):
+    return Prices(p_e, frac * params.mixed_price_bound(p_e))
 
-    def test_scalar_kernel_falls_back_per_point(self,
-                                                heterogeneous_params):
-        oracle = DemandOracle(heterogeneous_params, kernel="scalar")
-        grid = self._grid(4)
-        results = oracle.equilibria(grid)
-        ref = DemandOracle(heterogeneous_params, kernel="scalar")
-        for a, p in zip(results, grid):
-            b = ref.equilibrium(p)
-            np.testing.assert_array_equal(a.e, b.e)
 
-    def test_closed_form_oracle_unaffected(self, connected_params):
-        # Homogeneous games answer from the closed forms; the grid API
-        # must route through them identically.
-        oracle = DemandOracle(connected_params)
-        grid = self._grid(4)
-        for a, p in zip(oracle.equilibria(grid), grid):
-            b = DemandOracle(connected_params).equilibrium(p)
-            np.testing.assert_array_equal(a.e, b.e)
+@st.composite
+def _separable_draws(draw):
+    n = draw(st.integers(2, 8))
+    factors = draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))
+    assume(max(factors) > min(factors) * (1.0 + 1e-6))
+    params = _separable_game(n, draw(st.floats(0.05, 0.5)),
+                             draw(st.floats(0.3, 1.0)), factors)
+    return params, _in_region(params, draw(st.floats(0.5, 3.0)),
+                              draw(st.floats(0.05, 0.95)))
+
+
+class TestSeparableDemand:
+    """Closed-form heterogeneous demand in the mixed region."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(game=_separable_draws())
+    def test_matches_vectorized_kernel(self, game):
+        params, prices = game
+        eq = DemandOracle(params).equilibrium(prices)
+        assert eq.report.message.startswith("closed form (separable")
+        assert eq.report.residual <= 1e-12
+        ref = solve_connected_equilibrium(params, prices,
+                                          kernel="vectorized")
+        scale = max(1.0, float(np.max(ref.e)), float(np.max(ref.c)))
+        np.testing.assert_allclose(eq.e, ref.e, rtol=1e-9,
+                                   atol=1e-9 * scale)
+        np.testing.assert_allclose(eq.c, ref.c, rtol=1e-9,
+                                   atol=1e-9 * scale)
+
+    @pytest.mark.parametrize("case", ["outside-region", "standalone",
+                                      "no-edge-bonus", "n_types"])
+    def test_other_games_keep_the_iterative_answer(self, case):
+        params = _separable_game(4, 0.2, 0.8, (0.5, 0.9, 1.2, 2.0))
+        prices = Prices(2.0, 1.0)
+        kwargs = {}
+        if case == "outside-region":
+            prices = Prices(2.0, 1.02 * params.mixed_price_bound(2.0))
+        elif case == "standalone":
+            params = params.with_mode(EdgeMode.STANDALONE, e_max=50.0)
+        elif case == "no-edge-bonus":
+            params = _separable_game(4, 0.0, 0.8, (0.5, 0.9, 1.2, 2.0))
+        else:
+            kwargs = {"n_types": 2}
+        eq = DemandOracle(params, kernel="auto",
+                          **kwargs).equilibrium(prices)
+        if params.mode is EdgeMode.STANDALONE:
+            ref = solve_standalone_equilibrium(params, prices,
+                                               kernel="auto")
+        else:
+            ref = solve_connected_equilibrium(params, prices,
+                                              kernel="auto", **kwargs)
+        np.testing.assert_array_equal(eq.e, ref.e)
+        np.testing.assert_array_equal(eq.c, ref.c)
+
+    def test_sigma_and_shares_do_not_depend_on_prices(self):
+        params = _separable_game(6, 0.2, 0.8, (0.3, 0.6, 0.9, 1.1, 1.5, 2.5))
+        oracle = DemandOracle(params)
+        first = oracle.equilibrium(_in_region(params, 1.5, 0.3))
+        second = oracle.equilibrium(_in_region(params, 2.7, 0.8))
+        assert first.prices.p_c * first.total == pytest.approx(
+            second.prices.p_c * second.total, rel=1e-14)
+        shares = first.e / first.total_edge
+        # One share w_i of both pools, at every in-region price.
+        for eq in (first, second):
+            np.testing.assert_allclose(eq.e / eq.total_edge, shares,
+                                       rtol=1e-14)
+            np.testing.assert_allclose(eq.c / eq.total_cloud, shares,
+                                       rtol=1e-14)
+
+    def test_homogeneous_keeps_homogeneous_demand_bits(self, binding_params,
+                                                       prices):
+        eq = DemandOracle(binding_params).equilibrium(prices)
+        demand = homogeneous_demand(binding_params, prices)
+        np.testing.assert_array_equal(eq.e, np.full(5, demand.e))
+        np.testing.assert_array_equal(eq.c, np.full(5, demand.c))
+
+    def test_sweep_collapse_case(self):
+        # The sweeping kernels collapse this game onto e = (0, 0) and
+        # report convergence; the closed form and the aggregate kernel
+        # agree on the true equilibrium.
+        params = GameParameters(reward=1500.0, fork_rate=0.2, h=0.8,
+                                budgets=(20.07220061, 260.20568035))
+        prices = Prices(1.3457659475254546, 0.5913311752748003)
+        eq = DemandOracle(params).equilibrium(prices)
+        ref = solve_connected_equilibrium(params, prices,
+                                          kernel="vectorized")
+        np.testing.assert_allclose(eq.e, [4.434, 33.124], atol=1e-3)
+        np.testing.assert_allclose(eq.e, ref.e, rtol=1e-9)
+        np.testing.assert_allclose(eq.c, ref.c, rtol=1e-9)
+
+    def test_csp_reaction_matches_its_closed_form(self,
+                                                  heterogeneous_params):
+        # In the region C* = σ(1/P_c − βh/((1-β)(P_e − P_c))), so the
+        # CSP's best response is P_e / (1 + √(βh(P_e − C_c)/((1-β)C_c)))
+        # (docs/THEORY.md §3); the bounded search must find it.
+        p_e, cost = 2.0, heterogeneous_params.cloud_cost
+        exact = p_e / (1.0 + np.sqrt(0.16 * (p_e - cost) / (0.8 * cost)))
+        oracle = DemandOracle(heterogeneous_params)
+        assert csp_best_response(oracle, p_e) == pytest.approx(exact,
+                                                               rel=1e-6)
+
+    @pytest.mark.parametrize("prices", [Prices(2.0, 1.0), Prices(2.0, 1.8)],
+                             ids=["closed-form", "iterative"])
+    def test_demand_does_not_depend_on_probe_order(self, prices):
+        params = _separable_game(5, 0.2, 0.8, (0.4, 0.8, 1.0, 1.3, 2.0))
+        chained = DemandOracle(params, kernel="auto")
+        for earlier in (Prices(1.5, 0.5), Prices(3.0, 2.9)):
+            chained.equilibrium(earlier)
+        fresh = DemandOracle(params, kernel="auto")
+        a, b = chained.equilibrium(prices), fresh.equilibrium(prices)
+        np.testing.assert_array_equal(a.e, b.e)
+        np.testing.assert_array_equal(a.c, b.c)
