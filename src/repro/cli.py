@@ -16,8 +16,7 @@ Usage::
     repro-mining control --run --scenario retry-storm --events ctrl.jsonl
     repro-mining chaos --with-control
     repro-mining fig4 --trace trace.json
-    repro-mining serve-online --port 8765 --shards 8 --ttl 600 \\
-        --max-inflight 8
+    repro-mining serve-online --port 8765 --ttl 600 --max-inflight 8
     repro-mining loadgen --requests 100000 --seed 7 --output load.json
     repro-mining loadgen --port 8765 --requests 500  # vs a live server
 
@@ -878,7 +877,7 @@ def build_serve_online_parser() -> argparse.ArgumentParser:
         prog="repro-mining serve-online",
         description="Run the online equilibrium service: an asyncio "
                     "HTTP server with request coalescing, admission "
-                    "control, and a sharded TTL cache. Endpoints: "
+                    "control, and a TTL scenario cache. Endpoints: "
                     "POST /solve, GET /healthz /stats /metrics, "
                     "POST /admin/invalidate /admin/admission.")
     parser.add_argument(
@@ -888,18 +887,14 @@ def build_serve_online_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8765, metavar="N",
         help="bind port; 0 picks a free one (default: %(default)s)")
     parser.add_argument(
-        "--shards", type=int, default=8, metavar="N",
-        help="scenario-cache shard count (default: %(default)s)")
-    parser.add_argument(
         "--maxsize", type=int, default=4096, metavar="N",
-        help="total cache capacity across shards "
-             "(default: %(default)s)")
+        help="scenario-cache capacity (default: %(default)s)")
     parser.add_argument(
         "--ttl", type=float, default=None, metavar="SECONDS",
         help="cache entry time-to-live (default: no expiry)")
     parser.add_argument(
         "--cache-dir", default=None, metavar="PATH",
-        help="per-shard JSON persistence root; omit for memory-only")
+        help="JSON persistence directory; omit for memory-only")
     parser.add_argument(
         "--max-inflight", type=int, default=8, metavar="N",
         help="concurrent solves admitted (default: %(default)s)")
@@ -937,9 +932,9 @@ def serve_online_main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_serve_online_parser().parse_args(argv)
     try:
         service = EquilibriumService(
-            n_shards=args.shards, maxsize=args.maxsize, ttl=args.ttl,
-            cache_dir=args.cache_dir, max_inflight=args.max_inflight,
-            max_queue=args.max_queue, rate=args.rate, burst=args.burst,
+            maxsize=args.maxsize, ttl=args.ttl, cache_dir=args.cache_dir,
+            max_inflight=args.max_inflight, max_queue=args.max_queue,
+            rate=args.rate, burst=args.burst,
             solver_threads=args.solver_threads)
     except ReproError as ex:
         print(f"bad service configuration: {ex}", file=sys.stderr)
@@ -949,8 +944,7 @@ def serve_online_main(argv: Optional[Sequence[str]] = None) -> int:
         server = ServiceServer(service, host=args.host, port=args.port)
         await server.start()
         print(f"serving on http://{args.host}:{server.port} "
-              f"(shards={args.shards}, maxsize={args.maxsize}, "
-              f"ttl={args.ttl or '-'}, "
+              f"(maxsize={args.maxsize}, ttl={args.ttl or '-'}, "
               f"max_inflight={args.max_inflight})", file=sys.stderr)
         try:
             await server.serve_forever()

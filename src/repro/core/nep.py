@@ -346,6 +346,7 @@ def solve_connected_equilibrium(params: GameParameters, prices: Prices,
     converged = False
     iterations = 0
     restarts = 0
+    gamma = params.fork_rate * params.effective_h
     for it in range(max_iter):
         iterations = it + 1
         if sweep_hist is not None:
@@ -354,14 +355,16 @@ def solve_connected_equilibrium(params: GameParameters, prices: Prices,
             sweep_hist.observe(time.perf_counter() - t0)
         else:
             e_br, c_br = sweep(e, c)
-        gamma = params.fork_rate * params.effective_h
         if gamma > 0.0 and float(np.sum(e_br)) <= 0.0 and restarts < 10:
             # An all-zero edge profile is absorbing for the smoothed model
             # (the edge marginal is proportional to opponents' edge units)
             # but is never a true equilibrium while βh > 0: the first ε of
             # edge power earns the full βh bonus. Restart the edge side
-            # closer to the origin instead of accepting the collapse.
+            # closer to the origin instead of accepting the collapse, and
+            # damp from here on: an undamped sweep from the restarted
+            # profile collapses the same way again.
             restarts += 1
+            damping = min(damping, 0.5)
             e = np.maximum(e, 1e-12) / 10.0 ** restarts
             c = np.asarray(c_br, dtype=float)
             continue
@@ -372,8 +375,11 @@ def solve_connected_equilibrium(params: GameParameters, prices: Prices,
         residual = max(float(np.max(np.abs(e_next - e))),
                        float(np.max(np.abs(c_next - c)))) / scale
         e, c = e_next, c_next
-        if recorder.record(residual):
-            converged = True
+        # Past the restart cap the sweep may still land on the absorbing
+        # profile; no sweep leaves it, so stop and report no convergence.
+        collapsed = gamma > 0.0 and float(np.sum(e)) <= 0.0
+        if recorder.record(residual) or collapsed:
+            converged = not collapsed
             break
 
     report = recorder.report(converged, iterations)

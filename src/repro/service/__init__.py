@@ -8,12 +8,11 @@ as a long-lived service:
 * :mod:`repro.service.service` — :class:`EquilibriumService`, the
   asyncio core: request coalescing (concurrent duplicates share one
   solve via a future map), admission control with explicit shedding,
-  and a solver thread pool behind the event loop;
+  and a solver thread pool behind the event loop, all in front of one
+  :class:`~repro.serving.cache.ScenarioCache` with TTL expiry and
+  versioned invalidation for online parameter updates;
 * :mod:`repro.service.admission` — :class:`TokenBucket` rate limiting
   plus the bounded-queue :class:`AdmissionController`;
-* :mod:`repro.service.shards` — :class:`ShardedScenarioCache`: N
-  :class:`~repro.serving.cache.ScenarioCache` shards with TTL and
-  versioned invalidation for online parameter updates;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — a
   stdlib asyncio-streams HTTP front end and matching clients (HTTP
   and in-process);
@@ -47,7 +46,6 @@ from .loadgen import (LoadPlan, LoadReport, quantiles_from_prometheus,
                       request_indices, run_load, scenario_pool)
 from .server import ServiceServer, response_payload
 from .service import EquilibriumService, ServiceResponse
-from .shards import ShardedScenarioCache, shard_index
 
 __all__ = [
     "AdmissionController",
@@ -60,12 +58,10 @@ __all__ = [
     "SHED_RATE",
     "ServiceResponse",
     "ServiceServer",
-    "ShardedScenarioCache",
     "TokenBucket",
     "quantiles_from_prometheus",
     "request_indices",
     "response_payload",
     "run_load",
     "scenario_pool",
-    "shard_index",
 ]

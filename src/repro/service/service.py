@@ -9,14 +9,16 @@ the in-process client both call. One request takes this path:
    against the in-flight future map; a concurrent duplicate awaits the
    winner's future and shares the *same* result object (one solve per
    unique key, bit-identical answers for every waiter);
-3. **cache fast path** — keys already servable from the sharded cache
-   are answered inline on the event loop (a memory lookup, no
-   executor round-trip, no solve slot consumed);
+3. **cache fast path** — keys already servable from the engine's
+   :class:`~repro.serving.cache.ScenarioCache` are answered inline on
+   the event loop (a memory lookup, no executor round-trip, no solve
+   slot consumed);
 4. **admitted solve** — misses take a slot from the
    :class:`~repro.service.admission.AdmissionController` (bounded
-   queue, ``"queue-full"`` sheds past it) and run
-   ``ServingEngine.serve`` on the solver thread pool, registering a
-   future other tasks coalesce onto.
+   queue, ``"queue-full"`` sheds past it), probe steps 2–3 again (a
+   duplicate admitted first may have started or finished the solve
+   while this one queued), and run ``ServingEngine.serve`` on the
+   solver thread pool, registering a future other tasks coalesce onto.
 
 The coalescing map is only touched between awaits on the single event
 loop, so no lock is needed: a key is either absent, or mapped to the
@@ -34,16 +36,16 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
 from ..exceptions import ConfigurationError
+from ..serving.cache import ScenarioCache
 from ..serving.engine import ScenarioResult, ServingEngine
 from ..serving.keys import ScenarioSpec
 from ..telemetry import TELEMETRY as _TEL
 from .admission import AdmissionController, TokenBucket
-from .shards import ShardedScenarioCache
 
 __all__ = ["ServiceResponse", "EquilibriumService"]
 
@@ -81,11 +83,11 @@ class EquilibriumService:
     Args:
         engine: An existing :class:`ServingEngine` to front; mutually
             exclusive with the cache-shaping arguments below.
-        n_shards: Shard count of the internally built
-            :class:`ShardedScenarioCache`.
-        maxsize: Total cache capacity.
+        maxsize: Capacity of the internally built
+            :class:`~repro.serving.cache.ScenarioCache`.
         ttl: Cache entry TTL in seconds (None = no expiry).
-        cache_dir: Root directory of the per-shard disk layers.
+        cache_dir: Directory of the cache's JSON disk layer (None =
+            memory-only).
         max_inflight: Concurrent solves admitted.
         max_queue: Requests allowed to wait for a solve slot.
         rate: Sustained requests/second admitted (None = unlimited).
@@ -99,7 +101,7 @@ class EquilibriumService:
     """
 
     def __init__(self, engine: Optional[ServingEngine] = None, *,
-                 n_shards: int = 8, maxsize: int = 4096,
+                 maxsize: int = 4096,
                  ttl: Optional[float] = None,
                  cache_dir: Optional[Union[str, Path]] = None,
                  max_inflight: int = 8, max_queue: int = 256,
@@ -117,10 +119,9 @@ class EquilibriumService:
                 f"{solver_threads}")
         self._clock = clock if clock is not None else time.monotonic
         if engine is None:
-            cache = ShardedScenarioCache(
-                n_shards=n_shards, maxsize=maxsize, cache_dir=cache_dir,
-                ttl=ttl, clock=self._clock)
-            engine = ServingEngine(cache=cache)
+            engine = ServingEngine(cache=ScenarioCache(
+                maxsize=maxsize, cache_dir=cache_dir, ttl=ttl,
+                clock=self._clock))
         self.engine = engine
         bucket = (None if rate is None
                   else TokenBucket(rate, burst, clock=self._clock))
@@ -138,14 +139,6 @@ class EquilibriumService:
 
     # ------------------------------------------------------------------
 
-    def _effective_spec(self, spec: ScenarioSpec) -> ScenarioSpec:
-        """Apply the engine's kernel override up front, so the
-        coalescing key matches the key the engine will cache under."""
-        override = self.engine.kernel_override
-        if override is not None and spec.kernel != override:
-            return replace(spec, kernel=override)
-        return spec
-
     async def handle(self, spec: ScenarioSpec) -> ServiceResponse:
         """Serve one scenario request end to end."""
         start = time.perf_counter()
@@ -155,54 +148,21 @@ class EquilibriumService:
             return self._respond(ServiceResponse(
                 status=429, shed_reason=reason), start)
 
-        spec = self._effective_spec(spec)
         key = self.engine.key_for(spec)
-
         pending = self._inflight.get(key)
-        if pending is not None:
-            self.coalesced += 1
-            if _TEL.enabled:
-                _TEL.metrics.counter(
-                    "service_coalesced_total",
-                    "Requests that joined an in-flight solve for the "
-                    "same scenario key").inc()
-            try:
-                result = await asyncio.shield(pending)
-            except Exception as ex:  # repro: noqa[RPR007] — the
-                # winner's failure must answer every waiter, not crash
-                # the transport task.
-                return self._respond(ServiceResponse(
-                    status=500, key=key,
-                    result=ScenarioResult(
-                        spec=spec, key=key,
-                        error=f"{type(ex).__name__}: {ex}")), start)
-            return self._respond(ServiceResponse(
-                status=200 if result.ok else 500, result=result,
-                key=key, coalesced=True), start)
-
-        if key in self.engine.cache:
-            # Servable from memory: answer inline on the event loop (a
-            # dict lookup — cheaper than an executor round-trip) and
-            # without consuming a solve slot.  The transitive disk-I/O
-            # path inside serve() is unreachable here: `key in cache`
-            # just proved the in-memory entry exists, so lookup() never
-            # falls through to _disk_load().
-            result = self.engine.serve(spec)  # repro: noqa[RPR009]
-            return self._respond(ServiceResponse(
-                status=200 if result.ok else 500, result=result,
-                key=key), start)
+        if pending is not None or key in self.engine.cache:
+            return await self._join_or_hit(spec, key, pending, start)
 
         reason = await self.admission.acquire()
         if reason is not None:
             return self._respond(ServiceResponse(
                 status=429, key=key, shed_reason=reason), start)
         # Re-probe after the queue wait: a duplicate that was admitted
-        # first may have solved (and cached) this key meanwhile.
+        # first may have started (or finished and cached) this solve.
         pending = self._inflight.get(key)
         if pending is not None or key in self.engine.cache:
             await self.admission.release()
-            return await self.handle_admitted_duplicate(
-                spec, key, pending, start)
+            return await self._join_or_hit(spec, key, pending, start)
 
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[ScenarioResult]" = loop.create_future()
@@ -228,37 +188,42 @@ class EquilibriumService:
             status=200 if result.ok else 500, result=result, key=key),
             start)
 
-    async def handle_admitted_duplicate(
+    async def _join_or_hit(
             self, spec: ScenarioSpec, key: str,
             pending: Optional["asyncio.Future[ScenarioResult]"],
             start: float) -> ServiceResponse:
-        """A request that waited in the admission queue and found its
-        key already in flight (or cached) on wake-up: join or re-serve
-        rather than double-solving."""
-        if pending is not None:
-            self.coalesced += 1
-            if _TEL.enabled:
-                _TEL.metrics.counter(
-                    "service_coalesced_total",
-                    "Requests that joined an in-flight solve for the "
-                    "same scenario key").inc()
-            try:
-                result = await asyncio.shield(pending)
-            except Exception as ex:  # repro: noqa[RPR007] — see the
-                # coalescing path above: answer, don't crash.
-                return self._respond(ServiceResponse(
-                    status=500, key=key,
-                    result=ScenarioResult(
-                        spec=spec, key=key,
-                        error=f"{type(ex).__name__}: {ex}")), start)
-        else:
-            # Same inline fast path as handle(): this branch is only
-            # reached when the re-probe saw the key in the cache, so
-            # serve() resolves from memory without touching the disk.
+        """Answer a request, without a solve slot, whose key is in
+        flight (``pending``: join the winner's solve) or else cached."""
+        if pending is None:
+            # Servable from memory: answer inline on the event loop (a
+            # dict lookup — cheaper than an executor round-trip).  The
+            # transitive disk-I/O path inside serve() is unreachable
+            # here: the caller's `key in cache` just proved the
+            # in-memory entry exists, so lookup() never falls through
+            # to _disk_load().
             result = self.engine.serve(spec)  # repro: noqa[RPR009]
+            return self._respond(ServiceResponse(
+                status=200 if result.ok else 500, result=result,
+                key=key), start)
+        self.coalesced += 1
+        if _TEL.enabled:
+            _TEL.metrics.counter(
+                "service_coalesced_total",
+                "Requests that joined an in-flight solve for the "
+                "same scenario key").inc()
+        try:
+            result = await asyncio.shield(pending)
+        except Exception as ex:  # repro: noqa[RPR007] — the winner's
+            # failure must answer every waiter, not crash the transport
+            # task.
+            return self._respond(ServiceResponse(
+                status=500, key=key,
+                result=ScenarioResult(
+                    spec=spec, key=key,
+                    error=f"{type(ex).__name__}: {ex}")), start)
         return self._respond(ServiceResponse(
             status=200 if result.ok else 500, result=result, key=key,
-            coalesced=pending is not None), start)
+            coalesced=True), start)
 
     def _respond(self, response: ServiceResponse,
                  start: float) -> ServiceResponse:
@@ -303,21 +268,16 @@ class EquilibriumService:
     def stats(self) -> Dict[str, Any]:
         """JSON-shaped operational snapshot for the stats endpoint."""
         cache = self.engine.cache
-        cache_info: Dict[str, Any]
-        if isinstance(cache, ShardedScenarioCache):
-            cache_info = cache.to_dict()
-        else:
-            cache_info = {"maxsize": cache.maxsize,
-                          "entries": len(cache),
-                          "version": getattr(cache, "version", 0),
-                          "stats": cache.stats.to_dict()}
         return {"requests": self.requests,
                 "coalesced": self.coalesced,
                 "solves": self.solves,
                 "errors": self.errors,
                 "inflight_keys": len(self._inflight),
                 "admission": self.admission.to_dict(),
-                "cache": cache_info}
+                "cache": {"maxsize": cache.maxsize, "ttl": cache.ttl,
+                          "version": cache.version,
+                          "entries": len(cache),
+                          "stats": cache.stats.to_dict()}}
 
     def close(self) -> None:
         """Shut down the solver thread pool (idempotent)."""

@@ -87,29 +87,6 @@ class CacheStats:
             "hit_rate": self.hit_rate,
         }
 
-    def copy(self) -> "CacheStats":
-        """Point-in-time snapshot (the live object keeps mutating)."""
-        return CacheStats(hits=self.hits, disk_hits=self.disk_hits,
-                          misses=self.misses, evictions=self.evictions,
-                          puts=self.puts, expired=self.expired)
-
-    def delta(self, prior: "CacheStats") -> "CacheStats":
-        """Windowed counters: activity since ``prior`` was snapshotted.
-
-        The returned object's :attr:`hit_rate` is therefore the *recent*
-        hit rate — what the control-plane detectors watch — rather than
-        the lifetime average, which stays misleadingly high long after a
-        cache collapse. Counters are clamped at zero so a reset prior
-        never produces negative windows.
-        """
-        return CacheStats(
-            hits=max(self.hits - prior.hits, 0),
-            disk_hits=max(self.disk_hits - prior.disk_hits, 0),
-            misses=max(self.misses - prior.misses, 0),
-            evictions=max(self.evictions - prior.evictions, 0),
-            puts=max(self.puts - prior.puts, 0),
-            expired=max(self.expired - prior.expired, 0))
-
 
 @dataclass
 class _Entry:
@@ -305,7 +282,10 @@ class ScenarioCache:
         with self._lock:
             # The entry must be stamped under the lock: reading
             # ``version`` outside it races invalidate(), admitting an
-            # entry stamped with a stale version after the flush.
+            # entry stamped with a stale version after the flush.  The
+            # disk write stays under it too: outside it, two puts of
+            # one key could leave memory and disk holding different
+            # results.
             entry = _Entry(value=value, meta=dict(meta or {}),
                            stamp=self._clock(), version=self.version)
             self.stats.puts += 1

@@ -291,7 +291,6 @@ class ServingEngine:
         self.bench_path = bench_path
         self.warm_index = WarmStartIndex()
         self.kernel_override: Optional[str] = None
-        self._window_stats = self.cache.stats.copy()
 
     # ------------------------------------------------------------------
 
@@ -301,8 +300,18 @@ class ServingEngine:
         return self.cache.stats
 
     def key_for(self, spec: ScenarioSpec) -> str:
-        """Canonical cache key of a scenario under this engine's quantum."""
-        return scenario_key(spec, quantum=self.quantum)
+        """Canonical cache key, under this engine's quantum, of the
+        scenario this engine serves for ``spec`` (its kernel override
+        applied)."""
+        return scenario_key(self._served(spec), quantum=self.quantum)
+
+    def _served(self, spec: ScenarioSpec) -> ScenarioSpec:
+        """``spec`` as this engine serves it: on the override kernel
+        when one is set."""
+        override = self.kernel_override
+        if override is None or spec.kernel == override:
+            return spec
+        return replace(spec, kernel=override)
 
     def _admit(self, spec: ScenarioSpec, key: str, value: Any) -> None:
         """Insert a solved equilibrium into the cache and warm index."""
@@ -357,10 +366,7 @@ class ServingEngine:
         ``error`` strings on their own :class:`ScenarioResult` only.
         """
         if self.kernel_override is not None:
-            override = self.kernel_override
-            specs = [spec if spec.kernel == override
-                     else replace(spec, kernel=override)
-                     for spec in specs]
+            specs = [self._served(spec) for spec in specs]
         results: List[Optional[ScenarioResult]] = [None] * len(specs)
         first_seen: Dict[str, int] = {}
         misses: List[Tuple[int, ScenarioSpec, str]] = []
@@ -380,8 +386,9 @@ class ServingEngine:
                 results[i] = ScenarioResult(spec=spec, key=key,
                                             value=value, source=layer,
                                             elapsed=elapsed)
-                if self.warm_start:
-                    # A disk hit has not been indexed this process yet.
+                if self.warm_start and layer == "disk":
+                    # What this engine admitted is indexed already; a
+                    # disk hit has not been indexed this process yet.
                     self.warm_index.add(spec, key, value)
             else:
                 first_seen[key] = i
@@ -462,12 +469,6 @@ class ServingEngine:
         metrics.gauge("serving_cache_hit_rate",
                       "Lifetime cache hit rate").set(
             self.cache.stats.hit_rate)
-        window = self.cache.stats.delta(self._window_stats)
-        self._window_stats = self.cache.stats.copy()
-        metrics.gauge("serving_cache_window_hit_rate",
-                      "Cache hit rate since the previous recorded "
-                      "batch (the per-window view detectors watch)"
-                      ).set(window.hit_rate)
         metrics.gauge("serving_cache_entries",
                       "In-memory cache entries").set(len(self.cache))
 

@@ -138,14 +138,3 @@ class TestCacheSeams:
         entries = cache.snapshot_entries()
         cache.put("z", 26)
         assert "z" not in entries
-
-    def test_stats_delta(self):
-        cache = ScenarioCache(maxsize=4)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("miss")
-        prior = cache.stats.copy()
-        cache.get("a")
-        delta = cache.stats.delta(prior)
-        assert delta.hits == 1
-        assert delta.misses == 0

@@ -12,6 +12,7 @@ from repro.core import (DemandOracle, EdgeMode, GameParameters, Prices,
 from repro.core.closed_form import binding_budget_threshold
 from repro.core.homogeneous_demand import homogeneous_demand
 from repro.exceptions import ConfigurationError, InfeasibleGameError
+from repro.serving import ScenarioSpec, ServingEngine
 
 
 class TestDemandOracle:
@@ -198,18 +199,29 @@ class TestSeparableDemand:
         np.testing.assert_array_equal(eq.c, np.full(5, demand.c))
 
     def test_sweep_collapse_case(self):
-        # The sweeping kernels collapse this game onto e = (0, 0) and
-        # report convergence; the closed form and the aggregate kernel
-        # agree on the true equilibrium.
+        # An undamped sweep from the initial profile lands on the
+        # absorbing e = (0, 0), and so does every undamped restart. The
+        # sweeping kernels and a served answer must still reach the
+        # equilibrium the closed form and the aggregate kernel agree on.
         params = GameParameters(reward=1500.0, fork_rate=0.2, h=0.8,
                                 budgets=(20.07220061, 260.20568035))
         prices = Prices(1.3457659475254546, 0.5913311752748003)
-        eq = DemandOracle(params).equilibrium(prices)
         ref = solve_connected_equilibrium(params, prices,
                                           kernel="vectorized")
-        np.testing.assert_allclose(eq.e, [4.434, 33.124], atol=1e-3)
-        np.testing.assert_allclose(eq.e, ref.e, rtol=1e-9)
-        np.testing.assert_allclose(eq.c, ref.c, rtol=1e-9)
+        served = ServingEngine().serve(ScenarioSpec(params, prices))
+        assert served.ok and not served.degraded
+        answers = {"closed form": (DemandOracle(params).equilibrium(prices),
+                                   1e-9),
+                   "served": (served.value, 1e-7)}
+        for kernel in ("scalar", "running", "auto"):
+            answers[kernel] = (solve_connected_equilibrium(
+                params, prices, kernel=kernel), 1e-7)
+        for name, (eq, rtol) in answers.items():
+            assert eq.report.converged, name
+            np.testing.assert_allclose(eq.e, [4.434, 33.124], atol=1e-3,
+                                       err_msg=name)
+            np.testing.assert_allclose(eq.e, ref.e, rtol=rtol, err_msg=name)
+            np.testing.assert_allclose(eq.c, ref.c, rtol=rtol, err_msg=name)
 
     def test_csp_reaction_matches_its_closed_form(self,
                                                   heterogeneous_params):

@@ -2,6 +2,8 @@
 invalidation, and the operational seams."""
 
 import asyncio
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -176,6 +178,8 @@ class TestSeams:
         assert service.max_inflight == 2
         doc = service.stats()
         assert doc["admission"]["max_inflight"] == 2.0
+        assert set(doc["cache"]) == {"maxsize", "ttl", "version",
+                                     "entries", "stats"}
         assert doc["cache"]["entries"] == 0
         service.close()
 
@@ -199,3 +203,115 @@ class TestSeams:
         assert response.key == service.engine.key_for(
             response.result.spec)
         assert response.key != ServingEngine().key_for(miner_spec())
+
+
+class GatedEngine(ServingEngine):
+    """Engine whose serve of a gated budget blocks until the test opens
+    its gate, so requests can be parked at chosen points of the
+    service's path. Every serve records the admission slots held when
+    it started."""
+
+    def __init__(self, *budgets):
+        super().__init__()
+        self.gates = {b: threading.Event() for b in budgets}
+        self.solving = set()
+        self.calls = []
+        self.admission = None
+
+    def serve(self, spec):
+        budget = float(spec.params.budgets[0])
+        self.calls.append((budget, self.admission.inflight))
+        gate = self.gates.get(budget)
+        if gate is not None and not gate.is_set():
+            self.solving.add(budget)
+            gate.wait(timeout=30.0)
+        return super().serve(spec)
+
+
+async def until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        await asyncio.sleep(0.001)
+
+
+class TestPostAdmissionReprobe:
+    """A request that queued for a slot re-probes its key on waking:
+    a key solved meanwhile is served from memory, a key in flight is
+    joined. Either way the slot goes back before the request waits."""
+
+    def _service(self, engine, max_inflight):
+        service = EquilibriumService(engine, max_inflight=max_inflight,
+                                     max_queue=8, solver_threads=2)
+        engine.admission = service.admission
+        return service
+
+    def _run(self, engine, service, run):
+        try:
+            return asyncio.run(run())
+        finally:
+            for gate in engine.gates.values():
+                gate.set()
+            service.close()
+
+    def test_queued_duplicate_finds_its_key_cached(self):
+        engine = GatedEngine(150.0, 200.0)
+        service = self._service(engine, max_inflight=1)
+
+        async def run():
+            x = asyncio.ensure_future(service.handle(miner_spec(150.0)))
+            await until(lambda: engine.solving == {150.0})
+            a = asyncio.ensure_future(service.handle(miner_spec(200.0)))
+            await until(lambda: service.admission.queued == 1)
+            b = asyncio.ensure_future(service.handle(miner_spec(200.0)))
+            await until(lambda: service.admission.queued == 2)
+            engine.gates[150.0].set()
+            await until(lambda: 200.0 in engine.solving)
+            assert service.solves == 1
+            engine.gates[200.0].set()
+            return await asyncio.gather(x, a, b)
+
+        x, a, b = self._run(engine, service, run)
+        assert all(r.ok for r in (x, a, b))
+        assert a.result.source == "solved"
+        assert b.result.source == "memory" and not b.coalesced
+        assert service.solves == 2 and service.coalesced == 0
+        # A solved holding its slot; B served inline after releasing its.
+        assert [c for c in engine.calls if c[0] == 200.0] == [
+            (200.0, 1), (200.0, 0)]
+        assert service._inflight == {}
+        assert service.admission.inflight == 0
+        assert service.admission.queued == 0
+
+    def test_queued_duplicate_joins_its_key_in_flight(self):
+        engine = GatedEngine(150.0, 200.0, 250.0)
+        service = self._service(engine, max_inflight=2)
+
+        async def run():
+            x1 = asyncio.ensure_future(service.handle(miner_spec(150.0)))
+            x2 = asyncio.ensure_future(service.handle(miner_spec(250.0)))
+            await until(lambda: engine.solving == {150.0, 250.0})
+            a = asyncio.ensure_future(service.handle(miner_spec(200.0)))
+            await until(lambda: service.admission.queued == 1)
+            b = asyncio.ensure_future(service.handle(miner_spec(200.0)))
+            await until(lambda: service.admission.queued == 2)
+            engine.gates[150.0].set()
+            await until(lambda: 200.0 in engine.solving)
+            engine.gates[250.0].set()
+            await until(lambda: service.coalesced == 1)
+            # B waits on A's solve without holding a slot.
+            assert service.admission.inflight == 1
+            assert service.admission.queued == 0
+            engine.gates[200.0].set()
+            return await asyncio.gather(x1, x2, a, b)
+
+        x1, x2, a, b = self._run(engine, service, run)
+        assert all(r.ok for r in (x1, x2, a, b))
+        assert b.coalesced and not a.coalesced
+        assert b.result is a.result
+        assert service.solves == 3 and service.coalesced == 1
+        # A started solving while X2 still held the other slot.
+        assert [c for c in engine.calls if c[0] == 200.0] == [(200.0, 2)]
+        assert service._inflight == {}
+        assert service.admission.inflight == 0
+        assert service.admission.queued == 0

@@ -1,5 +1,7 @@
 """ServingEngine: batching, dedup, warm chaining, workers, errors."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -161,12 +163,44 @@ class TestPersistence:
             ServingEngine(cache=ScenarioCache(), cache_dir=tmp_path)
 
 
+class TestWarmIndex:
+    def test_memory_hits_leave_the_index_unchanged(self):
+        engine = ServingEngine(max_workers=0)
+        specs = _grid(3)
+        engine.serve_batch(specs)
+        assert len(engine.warm_index) == 3
+        for _ in range(3):
+            results = engine.serve_batch(specs)
+            assert {r.source for r in results} == {"memory"}
+        assert len(engine.warm_index) == 3
+
+    def test_disk_hit_in_a_fresh_engine_adds_one_entry(self, tmp_path):
+        spec = _grid(1)[0]
+        ServingEngine(max_workers=0, cache_dir=tmp_path).serve(spec)
+        fresh = ServingEngine(max_workers=0, cache_dir=tmp_path)
+        assert len(fresh.warm_index) == 0
+        assert fresh.serve(spec).source == "disk"
+        assert len(fresh.warm_index) == 1
+        assert fresh.serve(spec).source == "memory"
+        assert len(fresh.warm_index) == 1
+
+
 class TestKeying:
     def test_key_for_is_stable_and_quantized(self):
         engine = ServingEngine()
         a = ScenarioSpec(_params(), Prices(2.0, 1.0))
         b = ScenarioSpec(_params(), Prices(2.0 + 1e-13, 1.0))
         assert engine.key_for(a) == engine.key_for(b)
+
+    def test_key_for_applies_the_kernel_override(self):
+        engine = ServingEngine(max_workers=0)
+        spec = ScenarioSpec(_params(), Prices(2.0, 1.0))
+        engine.set_kernel_override("scalar")
+        key = engine.key_for(spec)
+        assert key == engine.key_for(replace(spec, kernel="scalar"))
+        assert key != ServingEngine().key_for(spec)
+        result = engine.serve(spec)
+        assert result.key == key and result.spec.kernel == "scalar"
 
     def test_sub_quantum_queries_share_cache_entries(self):
         engine = ServingEngine(max_workers=0)
