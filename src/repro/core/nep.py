@@ -18,14 +18,15 @@ import numpy as np
 
 from ..exceptions import ConvergenceError
 from ..game.diagnostics import ConvergenceReport, ResidualRecorder
-from ..telemetry import DEFAULT_BUCKETS, TELEMETRY as _TEL
+from ..telemetry import DEFAULT_BUCKETS, Histogram, TELEMETRY as _TEL
 from . import utility
 from .miner_best_response import ResponseContext, solve_best_response
 from .params import GameParameters, Prices
 
 __all__ = ["MinerEquilibrium", "solve_connected_equilibrium",
            "initial_profile", "best_response_profile", "KERNELS",
-           "AUTO_VECTORIZED_MIN_N", "resolve_kernel"]
+           "AUTO_VECTORIZED_MIN_N", "resolve_kernel", "separable_shares",
+           "separable_applies", "separable_equilibrium"]
 
 #: Valid values of the ``kernel`` parameter of
 #: :func:`solve_connected_equilibrium`.
@@ -196,6 +197,105 @@ def best_response_profile(e: np.ndarray, c: np.ndarray,
     return e_new, c_new
 
 
+def _sweep_histogram(label: str) -> Optional[Histogram]:
+    """The ``br_sweep_seconds{kernel=label}`` histogram, or ``None``
+    while telemetry is off."""
+    if not _TEL.enabled:
+        return None
+    return _TEL.metrics.histogram(
+        "br_sweep_seconds", "Best-response sweep / kernel-solve latency",
+        labels={"kernel": label}, buckets=DEFAULT_BUCKETS)
+
+
+def separable_shares(params: GameParameters
+                     ) -> Tuple[float, np.ndarray, int]:
+    """``σ = P_c·S*``, the shares ``w_i`` and the number of binding
+    budgets of the mixed-region equilibrium (docs/THEORY.md §3,
+    "Heterogeneous budgets").
+
+    ``σ`` and ``w_i`` are price-free: ``σ`` is the root of the strictly
+    decreasing ``Σ_i min(1 − σ/(aR), a B_i/(D σ)) = 1`` and ``w_i`` is
+    that min.
+    The binding miners are the ``m`` smallest budgets, so ``σ`` is the
+    positive root of one quadratic per prefix,
+    ``(n−m)σ²/(aR) − (n−m−1)σ = a Σ_{i≤m} B_(i)/D``; the prefix whose
+    root keeps exactly its own miners binding is the answer.
+    """
+    a = 1.0 - params.fork_rate
+    d = a + params.fork_rate * params.effective_h
+    ar = a * params.reward
+    budgets = params.budget_array
+    n = budgets.shape[0]
+    ranked = np.sort(budgets)
+    free = n - np.arange(n + 1, dtype=float)
+    spend = a * np.concatenate(([0.0], np.cumsum(ranked))) / d
+    quad = np.where(free > 0.0, free / ar, 1.0)
+    sigma = np.where(free > 0.0,
+                     (free - 1.0 + np.sqrt((free - 1.0) ** 2
+                                           + 4.0 * quad * spend))
+                     / (2.0 * quad),
+                     spend)
+    # Miner i binds at σ iff B_i < (D/a)·σ·(1 − σ/(aR)).  Prefix m is
+    # consistent when B_(m) ≤ that bar ≤ B_(m+1); rounding at a tie can
+    # leave none exactly so, and the least violated prefix is then exact
+    # to rounding (certification decides).
+    bar = d * sigma * (1.0 - sigma / ar) / a
+    miss = np.maximum(np.concatenate(([-np.inf], ranked)) - bar,
+                      bar - np.concatenate((ranked, [np.inf])))
+    m = int(np.argmin(miss))
+    s = float(sigma[m])
+    return s, np.minimum(1.0 - s / ar, a * budgets / (d * s)), m
+
+
+def separable_applies(params: GameParameters, prices: Prices,
+                      nu: float = 0.0) -> bool:
+    """Whether :func:`separable_equilibrium` covers this exact solve.
+
+    It needs an edge bonus (``βh > 0``), no capacity multiplier
+    (``ν = 0``) and prices in the mixed region ``P_c < (1-β)P_e/D``.
+    """
+    return (not nu > 0.0 and params.fork_rate * params.effective_h > 0.0
+            and prices.p_c < params.mixed_price_bound(prices.p_e))
+
+
+def separable_equilibrium(params: GameParameters, prices: Prices,
+                          tol: float,
+                          shares: Optional[Tuple[float, np.ndarray,
+                                                 int]] = None,
+                          ) -> Optional[MinerEquilibrium]:
+    """Certified closed-form equilibrium at mixed-region prices.
+
+    Every miner plays one share ``w_i`` of both pools:
+    ``e_i = w_i E*`` and ``c_i = w_i (σ/P_c − E*)`` with
+    ``E* = βhσ/((1-β)(P_e − P_c))`` (docs/THEORY.md §3).  ``shares``
+    is :func:`separable_shares` of ``params`` when the caller keeps it
+    across prices.  One exact best-response sweep
+    (:func:`~repro.kernels.batched_br.certify_sweep`) certifies the
+    profile; its residual goes into the report, and a residual that
+    misses ``tol`` returns ``None`` so the caller falls back.  The
+    profile returned is the closed form itself, not the sweep output.
+    The caller checks :func:`separable_applies` first.
+    """
+    from ..kernels.batched_br import certify_sweep
+
+    sigma, w, bound = separable_shares(params) if shares is None \
+        else shares
+    edge = (params.fork_rate * params.effective_h * sigma
+            / ((1.0 - params.fork_rate) * (prices.p_e - prices.p_c)))
+    e = w * edge
+    c = w * (sigma / prices.p_c - edge)
+    residual = certify_sweep(e, c, params, prices)[2]
+    if not residual < tol:
+        return None
+    report = ConvergenceReport(
+        converged=True, iterations=0, residual=residual, tolerance=tol,
+        history=[residual],
+        message=(f"closed form (separable, {bound} of {params.n} "
+                 "budgets bind; residual of one exact sweep)"))
+    return MinerEquilibrium(e=e, c=c, params=params, prices=prices,
+                            report=report)
+
+
 def _solve_vectorized(params: GameParameters, prices: Prices, tol: float,
                       _nu: float, label: str = "vectorized"
                       ) -> Optional[Tuple[np.ndarray, np.ndarray,
@@ -211,10 +311,7 @@ def _solve_vectorized(params: GameParameters, prices: Prices, tol: float,
     from ..kernels.aggregate import solve_connected_aggregate
     from ..kernels.batched_br import certify_sweep
 
-    sweep_hist = (_TEL.metrics.histogram(
-        "br_sweep_seconds", "Best-response sweep / kernel-solve latency",
-        labels={"kernel": label}, buckets=DEFAULT_BUCKETS)
-        if _TEL.enabled else None)
+    sweep_hist = _sweep_histogram(label)
     t0 = time.perf_counter() if sweep_hist is not None else 0.0
     sol = solve_connected_aggregate(params, prices, nu=_nu)
     if sweep_hist is not None:
@@ -237,10 +334,7 @@ def _solve_typespace(params: GameParameters, prices: Prices, tol: float,
     """Compressed type-space solve (see :mod:`repro.kernels.typespace`)."""
     from ..kernels.typespace import solve_connected_typespace
 
-    sweep_hist = (_TEL.metrics.histogram(
-        "br_sweep_seconds", "Best-response sweep / kernel-solve latency",
-        labels={"kernel": "typespace"}, buckets=DEFAULT_BUCKETS)
-        if _TEL.enabled else None)
+    sweep_hist = _sweep_histogram("typespace")
     t0 = time.perf_counter() if sweep_hist is not None else 0.0
     ts = solve_connected_typespace(params, prices, n_types, nu=_nu)
     if sweep_hist is not None:
@@ -283,18 +377,27 @@ def solve_connected_equilibrium(params: GameParameters, prices: Prices,
             decomposition.
         kernel: ``"scalar"`` (default) sweeps with the per-miner
             reference kernel and re-summed aggregates — the golden,
-            bit-stable path.  ``"running"`` sweeps with ``O(n)`` running
-            aggregates (within 1 ulp of scalar per sweep, not
-            bit-identical).  ``"vectorized"`` solves the aggregate
-            consistency system directly (:mod:`repro.kernels`),
-            verifies the result is a fixed point of the exact batched
-            best-response map, and falls back to ``"running"`` sweeps
-            if verification fails; ``damping`` and ``initial`` only
-            affect that fallback.  ``"auto"`` picks ``"running"`` or
-            ``"vectorized"`` by miner count
-            (:func:`resolve_kernel` / :data:`AUTO_VECTORIZED_MIN_N`);
-            the resolved choice is recorded in telemetry kernel labels
-            as ``"auto:running"`` / ``"auto:vectorized"``.
+            bit-stable path, and it always iterates.  Every other
+            kernel first takes the certified closed form
+            (:func:`separable_equilibrium`, telemetry label
+            ``"separable"``, or ``"auto:separable"`` under ``"auto"``)
+            when the solve is exact, ``_nu`` is 0, ``βh > 0`` and
+            ``P_c < params.mixed_price_bound(P_e)``; the
+            report then shows 0 iterations and a ``"closed form
+            (separable, …)"`` message.  Outside those cases, or when
+            certification misses, the iterative kernels run:
+            ``"running"`` sweeps with ``O(n)`` running aggregates
+            (within 1 ulp of scalar per sweep, not bit-identical).
+            ``"vectorized"`` solves the aggregate consistency system
+            directly (:mod:`repro.kernels`), verifies the result is a
+            fixed point of the exact batched best-response map, and
+            falls back to ``"running"`` sweeps if verification fails.
+            ``"auto"`` picks ``"running"`` or ``"vectorized"`` by miner
+            count (:func:`resolve_kernel` /
+            :data:`AUTO_VECTORIZED_MIN_N`); the resolved choice is
+            recorded in telemetry kernel labels as ``"auto:running"``
+            / ``"auto:vectorized"``.  ``damping``, ``initial`` and
+            ``max_iter`` only affect the sweeping solves.
         n_types: Compress the population into at most this many weighted
             budget types and solve in type space with a certified
             approximation bound (:mod:`repro.kernels.typespace`);
@@ -311,6 +414,15 @@ def solve_connected_equilibrium(params: GameParameters, prices: Prices,
         raise ValueError(f"damping must be in (0, 1], got {damping}")
     if n_types is not None and n_types < params.n:
         return _solve_typespace(params, prices, tol, _nu, n_types)
+    if kernel != "scalar" and separable_applies(params, prices, _nu):
+        sweep_hist = _sweep_histogram(
+            "auto:separable" if requested == "auto" else "separable")
+        t0 = time.perf_counter() if sweep_hist is not None else 0.0
+        closed = separable_equilibrium(params, prices, tol)
+        if sweep_hist is not None:
+            sweep_hist.observe(time.perf_counter() - t0)
+        if closed is not None:
+            return closed
     if kernel == "vectorized":
         solved = _solve_vectorized(params, prices, tol, _nu, label=label)
         if solved is not None:
@@ -338,10 +450,7 @@ def solve_connected_equilibrium(params: GameParameters, prices: Prices,
                   c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             return best_response_profile(e, c, params, prices, nu=_nu)
 
-    sweep_hist = (_TEL.metrics.histogram(
-        "br_sweep_seconds", "Best-response sweep / kernel-solve latency",
-        labels={"kernel": label}, buckets=DEFAULT_BUCKETS)
-        if _TEL.enabled else None)
+    sweep_hist = _sweep_histogram(label)
     recorder = ResidualRecorder(tol)
     converged = False
     iterations = 0

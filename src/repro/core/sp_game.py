@@ -23,51 +23,11 @@ from ..exceptions import ConfigurationError, InfeasibleGameError
 from ..game.diagnostics import ConvergenceReport
 from .gnep import solve_standalone_equilibrium
 from .homogeneous_demand import homogeneous_demand
-from .nep import MinerEquilibrium, resolve_kernel, \
-    solve_connected_equilibrium
+from .nep import MinerEquilibrium, resolve_kernel, separable_applies, \
+    separable_equilibrium, separable_shares, solve_connected_equilibrium
 from .params import EdgeMode, GameParameters, Prices
 
 __all__ = ["DemandOracle", "esp_best_response", "csp_best_response"]
-
-
-def _separable_shares(params: GameParameters
-                      ) -> Tuple[float, np.ndarray, int]:
-    """``σ = P_c·S*``, the shares ``w_i`` and the number of binding
-    budgets of the mixed-region equilibrium (docs/THEORY.md §3,
-    "Heterogeneous budgets").
-
-    ``σ`` and ``w_i`` are price-free: ``σ`` is the root of the strictly
-    decreasing ``Σ_i min(1 − σ/(aR), a B_i/(D σ)) = 1`` and ``w_i`` is
-    that min.
-    The binding miners are the ``m`` smallest budgets, so ``σ`` is the
-    positive root of one quadratic per prefix,
-    ``(n−m)σ²/(aR) − (n−m−1)σ = a Σ_{i≤m} B_(i)/D``; the prefix whose
-    root keeps exactly its own miners binding is the answer.
-    """
-    a = 1.0 - params.fork_rate
-    d = a + params.fork_rate * params.effective_h
-    ar = a * params.reward
-    budgets = params.budget_array
-    n = budgets.shape[0]
-    ranked = np.sort(budgets)
-    free = n - np.arange(n + 1, dtype=float)
-    spend = a * np.concatenate(([0.0], np.cumsum(ranked))) / d
-    quad = np.where(free > 0.0, free / ar, 1.0)
-    sigma = np.where(free > 0.0,
-                     (free - 1.0 + np.sqrt((free - 1.0) ** 2
-                                           + 4.0 * quad * spend))
-                     / (2.0 * quad),
-                     spend)
-    # Miner i binds at σ iff B_i < (D/a)·σ·(1 − σ/(aR)).  Prefix m is
-    # consistent when B_(m) ≤ that bar ≤ B_(m+1); rounding at a tie can
-    # leave none exactly so, and the least violated prefix is then exact
-    # to rounding (certification decides).
-    bar = d * sigma * (1.0 - sigma / ar) / a
-    miss = np.maximum(np.concatenate(([-np.inf], ranked)) - bar,
-                      bar - np.concatenate((ranked, [np.inf])))
-    m = int(np.argmin(miss))
-    s = float(sigma[m])
-    return s, np.minimum(1.0 - s / ar, a * budgets / (d * s)), m
 
 
 class DemandOracle:
@@ -84,16 +44,18 @@ class DemandOracle:
       at prices in the mixed region ``P_c < (1-β)P_e/D``: the separable
       equilibrium ``e_i = w_i E*``, ``c_i = w_i (σ/P_c − E*)`` with
       ``E* = βhσ/((1-β)(P_e − P_c))``, where ``σ`` and the shares
-      ``w_i`` are solved once per game (:func:`_separable_shares`).
-      Each answer is certified by one exact best-response sweep
-      (:func:`~repro.kernels.batched_br.certify_sweep`) whose residual
-      goes into its report; a miss falls back.
+      ``w_i`` are solved once per game
+      (:func:`~repro.core.nep.separable_shares`).  Each answer is
+      certified by one exact best-response sweep whose residual goes
+      into its report (:func:`~repro.core.nep.separable_equilibrium`);
+      a miss falls back.
 
     Everything else — ``fast=False``, standalone mode, ``n_types``,
-    prices outside the mixed region — runs the iterative solver
-    selected by ``kernel`` (see
-    :func:`~repro.core.nep.solve_connected_equilibrium`), compressed
-    into weighted budget types when ``n_types`` is set
+    prices outside the mixed region — runs the solver selected by
+    ``kernel`` (see
+    :func:`~repro.core.nep.solve_connected_equilibrium`, which takes
+    the same separable closed form for every kernel but ``scalar``),
+    compressed into weighted budget types when ``n_types`` is set
     (:mod:`repro.kernels.typespace`).  Every iterative solve starts
     from :func:`~repro.core.nep.initial_profile`, so the demand at a
     price never depends on the order of the probes.
@@ -119,8 +81,7 @@ class DemandOracle:
         self._homogeneous = params.is_homogeneous
         self._separable = (fast and not self._homogeneous
                            and params.mode is EdgeMode.CONNECTED
-                           and n_types is None
-                           and params.fork_rate * params.effective_h > 0.0)
+                           and n_types is None)
         self._shares: Optional[Tuple[float, np.ndarray, int]] = None
         self._cache: Dict[Tuple[float, float], MinerEquilibrium] = {}
         self.evaluations = 0
@@ -137,31 +98,6 @@ class DemandOracle:
                                 params=self.params, prices=prices,
                                 report=report, nu=demand.nu)
 
-    def _separable_form(self, prices: Prices
-                        ) -> Optional[MinerEquilibrium]:
-        """Certified separable equilibrium, ``None`` on a miss."""
-        from ..kernels.batched_br import certify_sweep
-
-        params = self.params
-        if self._shares is None:
-            self._shares = _separable_shares(params)
-        sigma, w, bound = self._shares
-        a = 1.0 - params.fork_rate
-        edge = (params.fork_rate * params.effective_h * sigma
-                / (a * (prices.p_e - prices.p_c)))
-        e = w * edge
-        c = w * (sigma / prices.p_c - edge)
-        residual = certify_sweep(e, c, params, prices)[2]
-        if not residual < self.tol:
-            return None
-        report = ConvergenceReport(
-            converged=True, iterations=0, residual=residual,
-            tolerance=self.tol, history=[residual],
-            message=(f"closed form (separable, {bound} of {params.n} "
-                     "budgets bind; residual of one exact sweep)"))
-        return MinerEquilibrium(e=e, c=c, params=params, prices=prices,
-                                report=report)
-
     def equilibrium(self, prices: Prices) -> MinerEquilibrium:
         """Miner-subgame equilibrium at ``prices`` (cached)."""
         key = (round(prices.p_e, self._KEY_DECIMALS),
@@ -176,9 +112,11 @@ class DemandOracle:
                 eq = self._homogeneous_form(prices)
             except ConfigurationError:
                 self.fallbacks += 1
-        elif (self._separable
-              and prices.p_c < self.params.mixed_price_bound(prices.p_e)):
-            eq = self._separable_form(prices)
+        elif self._separable and separable_applies(self.params, prices):
+            if self._shares is None:
+                self._shares = separable_shares(self.params)
+            eq = separable_equilibrium(self.params, prices, self.tol,
+                                       shares=self._shares)
             if eq is None:
                 self.fallbacks += 1
         if eq is None:

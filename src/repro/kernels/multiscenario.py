@@ -34,8 +34,10 @@ bracket marks that scenario ``failed`` instead of aborting the batch
 :class:`~repro.exceptions.ConvergenceError`).
 
 :func:`solve_connected_multiscenario` is the solver-level entry point:
-it batches the aggregate solves, then certifies each scenario with the
-same exact Jacobi best-response sweep as
+it answers mixed-region scenarios from the certified closed form
+(:func:`repro.core.nep.separable_equilibrium`), batches the aggregate
+solves of the rest, then certifies each of those with the same exact
+Jacobi best-response sweep as
 :func:`repro.core.nep.solve_connected_equilibrium`'s vectorized path,
 returning ``None`` for any scenario whose verification residual misses
 tolerance (callers fall back to the per-scenario solver, so batching
@@ -778,10 +780,14 @@ def solve_connected_multiscenario(
     ``n`` (heterogeneous rewards, fork rates, prices, and budgets are
     fine — that is the point).  Each returned equilibrium is
     bit-identical to what ``solve_connected_equilibrium(params, prices,
-    tol=tol, kernel="vectorized")`` produces for that scenario,
-    including the Jacobi-sweep verification: scenarios whose residual
-    misses ``tol`` (or whose aggregate solve diverged) come back as
-    ``None`` so the caller can fall back to the per-scenario solver.
+    tol=tol, kernel="vectorized")`` produces for that scenario: lanes
+    the certified closed form covers
+    (:func:`~repro.core.nep.separable_applies`) are answered by it
+    exactly as the solo solve answers them, and only the rest enter the
+    batched aggregate kernel, with the same Jacobi-sweep verification.
+    Scenarios whose residual misses ``tol`` (or whose aggregate solve
+    diverged) come back as ``None`` so the caller can fall back to the
+    per-scenario solver.
 
     Args:
         scenarios: ``(params, prices)`` pairs.
@@ -792,7 +798,8 @@ def solve_connected_multiscenario(
     Returns:
         One ``Optional[MinerEquilibrium]`` per scenario, input order.
     """
-    from ..core.nep import MinerEquilibrium
+    from ..core.nep import (MinerEquilibrium, separable_applies,
+                            separable_equilibrium)
     from ..game.diagnostics import ConvergenceReport
     from ..telemetry import TELEMETRY as _TEL
     from .batched_br import certify_sweep
@@ -814,49 +821,62 @@ def solve_connected_multiscenario(
             raise ValueError(
                 f"nus must provide one multiplier per scenario "
                 f"({n_scen}), got shape {nu_arr.shape}")
+
+    results: List[Optional["MinerEquilibrium"]] = [None] * n_scen
+    # Lanes the closed form covers are answered as a solo vectorized
+    # solve answers them; a missed certification falls back to the
+    # aggregate kernel there too, so such a lane joins the batch.
+    lanes: List[int] = []
+    for i, (params, prices) in enumerate(scenarios):
+        nu_i = float(nu_arr[i])
+        if separable_applies(params, prices, nu_i):
+            results[i] = separable_equilibrium(params, prices, tol)
+        if results[i] is None:
+            lanes.append(i)
+    if not lanes:
+        return results
+    batch = [scenarios[i] for i in lanes]
     budgets = np.stack([np.asarray(p.budget_array, dtype=float)
-                        for p, _ in scenarios])
-    reward = np.array([float(p.reward) for p, _ in scenarios])
-    beta = np.array([float(p.fork_rate) for p, _ in scenarios])
+                        for p, _ in batch])
+    reward = np.array([float(p.reward) for p, _ in batch])
+    beta = np.array([float(p.fork_rate) for p, _ in batch])
     gamma = np.array([float(p.fork_rate) * float(p.effective_h)
-                      for p, _ in scenarios])
-    pe_arr = np.array([float(pr.p_e) for _, pr in scenarios])
-    pc_arr = np.array([float(pr.p_c) for _, pr in scenarios])
+                      for p, _ in batch])
+    pe_arr = np.array([float(pr.p_e) for _, pr in batch])
+    pc_arr = np.array([float(pr.p_c) for _, pr in batch])
 
     sol = solve_aggregate_batch(budgets, None, reward, beta, gamma,
-                                pe_arr, pc_arr, nu_arr)
+                                pe_arr, pc_arr, nu_arr[lanes])
     if _TEL.enabled:
         _TEL.metrics.histogram(
             "multiscenario_batch_size",
             "Scenarios per batched aggregate solve",
             buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
-                     256.0, 512.0)).observe(float(n_scen))
+                     256.0, 512.0)).observe(float(len(lanes)))
         _TEL.metrics.gauge(
             "multiscenario_active_set_fraction",
             "mean(evals)/max(evals) of the last batched solve — 1.0 "
             "when every scenario stays active the whole iteration"
             ).set(sol.active_set_fraction)
 
-    results: List[Optional["MinerEquilibrium"]] = []
-    for i, (params, prices) in enumerate(scenarios):
-        if sol.failed[i]:
-            results.append(None)
+    for j, i in enumerate(lanes):
+        if sol.failed[j]:
             continue
+        params, prices = scenarios[i]
         nu_i = float(nu_arr[i])
         # Identical certification to nep._solve_vectorized: one exact
         # batched best-response sweep; the returned profile is the
         # *sweep output* (BR(x*) = x* at the true equilibrium).
-        e_br, c_br, residual = certify_sweep(sol.e[i], sol.c[i], params,
+        e_br, c_br, residual = certify_sweep(sol.e[j], sol.c[j], params,
                                              prices, nu=nu_i)
         if not residual < tol:
-            results.append(None)
             continue
         report = ConvergenceReport(
-            converged=True, iterations=int(sol.evals[i]),
+            converged=True, iterations=int(sol.evals[j]),
             residual=residual, tolerance=tol, history=[residual],
             message="aggregate kernel (iterations = consistency evals)")
-        results.append(MinerEquilibrium(
+        results[i] = MinerEquilibrium(
             e=np.asarray(e_br, dtype=float),
             c=np.asarray(c_br, dtype=float), params=params,
-            prices=prices, report=report, nu=nu_i))
+            prices=prices, report=report, nu=nu_i)
     return results

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -62,6 +62,10 @@ class _IndexEntry:
 class WarmStartIndex:
     """Brute-force nearest-neighbor index over solved scenarios.
 
+    A family holds at most one entry per cache key: re-solving a key
+    (after an invalidation, say) replaces its entry and makes it the
+    newest.
+
     Args:
         max_entries: Per-family bound; the oldest entries are dropped
             past it (sweeps revisit recent neighborhoods, so recency is
@@ -78,7 +82,8 @@ class WarmStartIndex:
                 f"max_entries must be at least 1, got {max_entries}")
         self.max_entries = max_entries
         self.max_relative_distance = max_relative_distance
-        self._families: Dict[tuple, List[_IndexEntry]] = {}
+        # Per family, entries by cache key in insertion (age) order.
+        self._families: Dict[tuple, Dict[str, _IndexEntry]] = {}
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -101,10 +106,11 @@ class WarmStartIndex:
                             prices=prices, profile=profile)
         fam = family_key(spec)
         with self._lock:
-            bucket = self._families.setdefault(fam, [])
-            bucket.append(entry)
+            bucket = self._families.setdefault(fam, {})
+            bucket.pop(key, None)
+            bucket[key] = entry
             if len(bucket) > self.max_entries:
-                del bucket[0]
+                del bucket[next(iter(bucket))]
 
     def suggest(self, spec: ScenarioSpec) -> Optional[WarmStart]:
         """Warm start from the nearest solved neighbor, or ``None``.
@@ -120,11 +126,12 @@ class WarmStartIndex:
             bucket = self._families.get(fam)
             if not bucket:
                 return None
-            feats = np.stack([e.features for e in bucket])
+            entries = list(bucket.values())
+            feats = np.stack([e.features for e in entries])
             dists = np.sqrt(
                 np.sum(((feats - query) / scale) ** 2, axis=1))
             idx = int(np.argmin(dists))
-            best = bucket[idx]
+            best = entries[idx]
             distance = float(dists[idx])
         if distance > self.max_relative_distance:
             return None

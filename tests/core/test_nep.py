@@ -1,6 +1,8 @@
 """Connected-mode miner subgame: Theorem 2 (existence/uniqueness) and the
 closed-form cross-checks of Section IV-B."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -187,22 +189,33 @@ class TestAutoKernel:
                             h=0.8)
         big = homogeneous(AUTO_VECTORIZED_MIN_N + 4, 200.0,
                           reward=1000.0, fork_rate=0.2, h=0.8)
-        for params, resolved in ((small, "running"),
-                                 (big, "vectorized")):
-            auto = solve_connected_equilibrium(params, prices,
-                                               kernel="auto")
-            direct = solve_connected_equilibrium(params, prices,
+        # ``prices`` takes the closed form; above the mixed-region bound
+        # (1-β)P_e/D = 1.667 the resolved kernel iterates.
+        out_of_region = Prices(p_e=2.0, p_c=1.8)
+        for (params, resolved), at in itertools.product(
+                ((small, "running"), (big, "vectorized")),
+                (prices, out_of_region)):
+            auto = solve_connected_equilibrium(params, at, kernel="auto")
+            direct = solve_connected_equilibrium(params, at,
                                                  kernel=resolved)
+            assert (auto.report.iterations > 0) == (at is out_of_region)
             np.testing.assert_array_equal(auto.e, direct.e)
             np.testing.assert_array_equal(auto.c, direct.c)
 
-    def test_auto_choice_visible_in_telemetry(self, prices):
+    def test_auto_choice_visible_in_telemetry(self):
         from repro.telemetry import telemetry_session
         params = homogeneous(25, 200.0, reward=1000.0, fork_rate=0.2,
                              h=0.8)
-        with telemetry_session() as tel:
-            solve_connected_equilibrium(params, prices, kernel="auto")
-        snap = tel.metrics.snapshot()
-        labels = {tuple(sorted(v["labels"].items()))
-                  for v in snap["br_sweep_seconds"]["values"]}
-        assert (("kernel", "auto:vectorized"),) in labels
+
+        def labels(p_c):
+            with telemetry_session() as tel:
+                solve_connected_equilibrium(params, Prices(2.0, p_c),
+                                            kernel="auto")
+            snap = tel.metrics.snapshot()
+            return {v["labels"]["kernel"]
+                    for v in snap["br_sweep_seconds"]["values"]}
+
+        # In the mixed region the closed form runs; above its bound
+        # (1-β)P_e/D = 1.667 the aggregate kernel does.
+        assert labels(1.0) == {"auto:separable"}
+        assert labels(1.8) == {"auto:vectorized"}

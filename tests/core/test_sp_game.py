@@ -138,13 +138,16 @@ class TestSeparableDemand:
 
     @settings(max_examples=15, deadline=None)
     @given(game=_separable_draws())
-    def test_matches_vectorized_kernel(self, game):
+    def test_matches_scalar_kernel(self, game):
+        # Only the scalar kernel still iterates in the region; converge
+        # it tighter than the comparison so its truncation stays out.
         params, prices = game
         eq = DemandOracle(params).equilibrium(prices)
         assert eq.report.message.startswith("closed form (separable")
         assert eq.report.residual <= 1e-12
-        ref = solve_connected_equilibrium(params, prices,
-                                          kernel="vectorized")
+        ref = solve_connected_equilibrium(params, prices, tol=1e-12,
+                                          max_iter=20000)
+        assert ref.converged and ref.report.iterations > 0
         scale = max(1.0, float(np.max(ref.e)), float(np.max(ref.c)))
         np.testing.assert_allclose(eq.e, ref.e, rtol=1e-9,
                                    atol=1e-9 * scale)

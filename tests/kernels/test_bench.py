@@ -25,7 +25,30 @@ def _report(cases):
     return BenchReport(repeats=3, sizes=[8], cases=cases)
 
 
+def _timed(kernel, best, median):
+    case = _case(kernel=kernel, median=median)
+    case.best_s = best
+    return case
+
+
 class TestCompareReports:
+    def test_gates_on_best_when_both_reports_carry_it(self):
+        # A slow stretch of host load lifts a case's median; once both
+        # reports record the fastest repeat, the gate compares that.
+        baseline = _report([_timed("scalar", 1.0, 1.0),
+                            _timed("running", 1.0, 1.0)])
+        noisy = _report([_timed("scalar", 1.0, 2.0),
+                         _timed("running", 1.0, 1.0)])
+        assert compare_reports(noisy, baseline, tolerance=0.25) == []
+        slower = _report([_timed("scalar", 2.0, 2.0),
+                          _timed("running", 1.0, 1.0)])
+        regressions = compare_reports(slower, baseline, tolerance=0.25)
+        assert len(regressions) == 1
+        assert "normalized best" in regressions[0]
+        # A baseline without best_s falls back to medians.
+        legacy = _report([_case(kernel="scalar"), _case(kernel="running")])
+        assert compare_reports(noisy, legacy, tolerance=0.25)
+
     def test_single_case_slowdown_is_flagged(self):
         baseline = _report([_case(kernel="scalar", median=1.0),
                             _case(kernel="running", median=1.0),
@@ -151,7 +174,7 @@ class TestReportSerialization:
 
 class TestRunBench:
     def test_smoke_connected_only(self):
-        report = run_bench(sizes=(4,), repeats=1,
+        report = run_bench(sizes=(4,), repeats=2,
                            solvers=("connected",))
         ids = {c.case_id for c in report.cases}
         assert ids == {"connected/scalar/n=4",
@@ -160,6 +183,10 @@ class TestRunBench:
         assert "connected/n=4" in report.speedups
         assert all(c.converged for c in report.cases)
         assert all(not c.capped for c in report.cases)
+        assert all(c.repeats == 2 and 0 < c.best_s <= c.median_s
+                   for c in report.cases)
+        # At prices above the mixed region every kernel iterates.
+        assert all(c.iterations > 0 for c in report.cases)
         # Telemetry counters were harvested from instrumented solves.
         scalar = next(c for c in report.cases if c.kernel == "scalar")
         assert scalar.counters.get("br_sweeps", 0) > 0
@@ -253,7 +280,7 @@ class TestRunBenchMultiscenario:
 
         big = MULTISCENARIO_MAX_N + 1
         notes = []
-        cases = _multiscenario_cases((4, big), 1, notes)
+        cases = _multiscenario_cases((4, big), notes)
         ids = {c.case_id for c in cases}
         assert "connected/multiscenario/n=4" in ids
         assert f"connected/multiscenario/n={big}" not in ids

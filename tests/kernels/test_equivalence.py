@@ -9,6 +9,8 @@ point by ``O(n * tol)``, so comparing against a same-tolerance scalar
 solve would measure the reference's truncation, not the kernel's error.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,14 +20,19 @@ from repro.core import (EdgeMode, GameParameters, Prices, homogeneous,
                         solve_connected_equilibrium,
                         solve_standalone_equilibrium)
 from repro.core import miner_best_response as mbr
+from repro.core.closed_form import binding_budget_threshold
 from repro.core.gnep import solve_standalone_extragradient
 from repro.core.miner_best_response import (ResponseContext,
                                             solve_best_response)
-from repro.core.nep import KERNELS, best_response_profile
+from repro.core.nep import KERNELS, best_response_profile, \
+    separable_applies
 from repro.kernels import (batched_best_response,
                            gauss_seidel_sweep_running, jacobi_sweep)
 
 PRICES = Prices(p_e=2.0, p_c=1.0)
+#: Above the mixed-region bound (1-β)P_e/D = 1.667 of the β = 0.2,
+#: h = 0.8 games: no closed form, the iterative kernels answer.
+OUT_OF_REGION = Prices(p_e=2.0, p_c=1.8)
 
 
 def connected_params(n=5, budget=200.0):
@@ -198,20 +205,26 @@ class TestConnectedSolveEquivalence:
                                         kernel="simd")
 
     def test_running_matches_scalar_same_tolerance(self):
-        for params in (connected_params(), connected_params(8, 40.0)):
-            ref = solve_connected_equilibrium(params, PRICES)
-            run = solve_connected_equilibrium(params, PRICES,
+        # PRICES takes the closed form, OUT_OF_REGION the running sweep.
+        for params, prices in itertools.product(
+                (connected_params(), connected_params(8, 40.0)),
+                (PRICES, OUT_OF_REGION)):
+            ref = solve_connected_equilibrium(params, prices)
+            run = solve_connected_equilibrium(params, prices,
                                               kernel="running")
             assert run.converged
+            assert (run.report.iterations > 0) == (prices is OUT_OF_REGION)
             _assert_profiles_close(ref, run)
 
     def test_vectorized_matches_tight_scalar(self):
-        for params in (connected_params(), connected_params(8, 40.0),
-                       connected_params(32, 500.0)):
-            ref = solve_connected_equilibrium(params, PRICES,
+        # PRICES takes the closed form, OUT_OF_REGION the aggregate kernel.
+        for params, prices in itertools.product(
+                (connected_params(), connected_params(8, 40.0),
+                 connected_params(32, 500.0)), (PRICES, OUT_OF_REGION)):
+            ref = solve_connected_equilibrium(params, prices,
                                               tol=1e-12,
                                               max_iter=20000)
-            vec = solve_connected_equilibrium(params, PRICES,
+            vec = solve_connected_equilibrium(params, prices,
                                               kernel="vectorized")
             assert vec.converged
             _assert_profiles_close(ref, vec)
@@ -241,25 +254,29 @@ class TestConnectedSolveEquivalence:
 
     def test_warm_start_agreement(self):
         params = connected_params()
-        near = solve_connected_equilibrium(
-            params, Prices(p_e=2.0, p_c=1.1))
-        warm = (near.e, near.c)
-        ref = solve_connected_equilibrium(params, PRICES, initial=warm)
-        run = solve_connected_equilibrium(params, PRICES, initial=warm,
-                                          kernel="running")
-        _assert_profiles_close(ref, run)
-        # The aggregate kernel solves the consistency system directly;
-        # a warm start must not change its answer at all.
-        cold_vec = solve_connected_equilibrium(params, PRICES,
-                                               kernel="vectorized")
-        warm_vec = solve_connected_equilibrium(params, PRICES,
-                                               initial=warm,
-                                               kernel="vectorized")
-        assert np.array_equal(cold_vec.e, warm_vec.e)
-        assert np.array_equal(cold_vec.c, warm_vec.c)
+        for prices in (PRICES, OUT_OF_REGION):
+            near = solve_connected_equilibrium(
+                params, Prices(p_e=prices.p_e, p_c=prices.p_c + 0.1))
+            warm = (near.e, near.c)
+            ref = solve_connected_equilibrium(params, prices, initial=warm)
+            run = solve_connected_equilibrium(params, prices, initial=warm,
+                                              kernel="running")
+            assert (run.report.iterations > 0) == (prices is OUT_OF_REGION)
+            _assert_profiles_close(ref, run)
+            # Neither the closed form nor the aggregate kernel iterates
+            # from a start; a warm start must not change their answer.
+            cold_vec = solve_connected_equilibrium(params, prices,
+                                                   kernel="vectorized")
+            warm_vec = solve_connected_equilibrium(params, prices,
+                                                   initial=warm,
+                                                   kernel="vectorized")
+            assert np.array_equal(cold_vec.e, warm_vec.e)
+            assert np.array_equal(cold_vec.c, warm_vec.c)
 
     def test_vectorized_report_is_flagged(self):
-        vec = solve_connected_equilibrium(connected_params(), PRICES,
+        # Above the mixed-region bound (1.667 here) the aggregate kernel
+        # answers; below it the closed form does (TestClosedFormSolve).
+        vec = solve_connected_equilibrium(connected_params(), OUT_OF_REGION,
                                           kernel="vectorized")
         assert vec.converged
         assert "aggregate kernel" in vec.report.message
@@ -288,3 +305,103 @@ class TestStandaloneSolveEquivalence:
         vec = solve_standalone_extragradient(params, PRICES,
                                              kernel="vectorized")
         _assert_profiles_close(ref, vec, tol=1e-6)
+
+
+#: Budget regimes of the closed-form draws, as multiples of the
+#: Corollary 1 spend: all slack, all binding, the near-threshold band
+#: where the aggregate kernel's multiplier search is slowest, and a mix.
+BUDGET_REGIMES = {"slack": (1.2, 3.0), "binding": (0.2, 0.8),
+                  "near-threshold": (0.9, 1.1), "mixed": (0.3, 2.0)}
+
+
+@st.composite
+def in_region_games(draw):
+    """A heterogeneous connected game at mixed-region prices."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    regime = draw(st.sampled_from(sorted(BUDGET_REGIMES)))
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    reward = float(rng.uniform(200.0, 3000.0))
+    beta = float(rng.uniform(0.05, 0.6))
+    h = float(rng.uniform(0.2, 1.0))
+    lo, hi = BUDGET_REGIMES[regime]
+    spend = binding_budget_threshold(n, reward, beta, h)
+    params = GameParameters(budgets=spend * rng.uniform(lo, hi, size=n),
+                            reward=reward, fork_rate=beta, h=h)
+    p_e = float(rng.uniform(0.5, 4.0))
+    p_c = float(rng.uniform(0.05, 0.98)) * params.mixed_price_bound(p_e)
+    return params, Prices(p_e=p_e, p_c=p_c)
+
+
+class TestClosedFormSolve:
+    """Every kernel but ``scalar`` answers mixed-region prices from the
+    certified separable closed form; everything else still iterates."""
+
+    @given(in_region_games())
+    @settings(max_examples=30, deadline=None)
+    @example(game=(GameParameters(reward=1000.0, fork_rate=0.2, h=0.8,
+                                  budgets=binding_budget_threshold(
+                                      8, 1000.0, 0.2, 0.8)
+                                  * np.linspace(0.9, 1.1, 8)),
+                   PRICES))
+    def test_matches_tight_scalar(self, game):
+        params, prices = game
+        ref = solve_connected_equilibrium(params, prices, tol=1e-12,
+                                          max_iter=20000)
+        assert ref.converged
+        assert ref.report.iterations > 0
+        for kernel in ("running", "vectorized", "auto"):
+            eq = solve_connected_equilibrium(params, prices,
+                                             kernel=kernel)
+            assert eq.report.message.startswith("closed form (separable")
+            assert eq.report.iterations == 0
+            assert eq.report.residual < eq.report.tolerance
+            _assert_profiles_close(ref, eq)
+
+    def test_kernels_share_one_answer(self):
+        params = random_params(np.random.default_rng(11), n=6)
+        prices = Prices(2.0, 0.5 * params.mixed_price_bound(2.0))
+        answers = [solve_connected_equilibrium(params, prices, kernel=k)
+                   for k in ("running", "vectorized", "auto")]
+        for eq in answers[1:]:
+            assert np.array_equal(eq.e, answers[0].e)
+            assert np.array_equal(eq.c, answers[0].c)
+
+    @pytest.mark.parametrize("case", ["out-of-region", "no-edge-bonus",
+                                      "standalone-nu", "n_types"])
+    @pytest.mark.parametrize("kernel", ["running", "vectorized", "auto"])
+    def test_iterative_outside_the_closed_form(self, case, kernel):
+        budgets = (50.0, 100.0, 150.0, 300.0)
+        params = GameParameters(reward=1000.0, fork_rate=0.2, h=0.8,
+                                budgets=budgets)
+        prices = PRICES
+        if case == "out-of-region":
+            eq = solve_connected_equilibrium(params, OUT_OF_REGION,
+                                             kernel=kernel)
+        elif case == "no-edge-bonus":
+            no_bonus = GameParameters(reward=1000.0, fork_rate=0.0, h=0.8,
+                                      budgets=budgets)
+            eq = solve_connected_equilibrium(no_bonus, prices,
+                                             kernel=kernel)
+        elif case == "standalone-nu":
+            eq = solve_standalone_equilibrium(
+                params.with_mode(EdgeMode.STANDALONE, e_max=10.0),
+                prices, kernel=kernel)
+            assert eq.nu > 0.0
+            assert separable_applies(params, prices)
+            assert not separable_applies(params, prices, nu=eq.nu)
+        else:
+            eq = solve_connected_equilibrium(params, prices,
+                                             kernel=kernel, n_types=2)
+            assert eq.report.message.startswith("type-space")
+        assert eq.converged
+        assert eq.report.iterations > 0
+        message = eq.report.message or ""
+        assert not message.startswith("closed form")
+        if case != "n_types" and kernel == "vectorized":
+            assert message.startswith("aggregate kernel")
+
+    def test_scalar_never_takes_the_closed_form(self):
+        eq = solve_connected_equilibrium(connected_params(), PRICES)
+        assert eq.report.iterations > 0
+        assert not (eq.report.message or "").startswith("closed form")

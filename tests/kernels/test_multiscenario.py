@@ -22,14 +22,22 @@ from repro.kernels import solve_connected_multiscenario
 
 
 def price_grid_scenarios(n_scen=24, n=8):
-    """A heterogeneous-budget scenario grid over prices and rewards."""
+    """A heterogeneous-budget scenario grid over prices and rewards.
+
+    Even lanes sit in the mixed price region, where the closed form
+    answers; odd lanes sit above its bound ``(1-β)P_e/D``, where the
+    batched aggregate kernel does.
+    """
     out = []
     for i in range(n_scen):
         params = GameParameters(
             reward=900.0 + 15.0 * i, fork_rate=0.15 + 0.002 * i,
             h=0.8, budgets=[120.0 + 7.0 * j + 3.0 * i
                             for j in range(n)])
-        out.append((params, Prices(2.0 + 0.03 * i, 1.0 + 0.01 * i)))
+        p_e = 2.0 + 0.03 * i
+        p_c = (1.0 + 0.01 * i if i % 2 == 0
+               else 1.04 * params.mixed_price_bound(p_e))
+        out.append((params, Prices(p_e, p_c)))
     return out
 
 
@@ -54,6 +62,17 @@ class TestBitIdentity:
         for (params, prices), eq in zip(scenarios, batch):
             ref = solo(params, prices)
             assert eq.report.iterations == ref.report.iterations
+
+    def test_grid_mixes_closed_form_and_batched_lanes(self):
+        scenarios = price_grid_scenarios()
+        batch = solve_connected_multiscenario(scenarios)
+        for i, eq in enumerate(batch):
+            if i % 2 == 0:
+                assert eq.report.message.startswith("closed form")
+                assert eq.report.iterations == 0
+            else:
+                assert eq.report.message.startswith("aggregate kernel")
+                assert eq.report.iterations > 0
 
     def test_batch_of_one_matches(self):
         [(params, prices)] = price_grid_scenarios(n_scen=1)
@@ -101,13 +120,20 @@ class TestMixedBatches:
         loose = GameParameters(reward=2000.0, fork_rate=0.2, h=0.8,
                                budgets=[2000.0 + 10.0 * j
                                         for j in range(8)])
+        # P_c = 1.8 lies above the mixed-region bound 1.667: those
+        # lanes take the batched aggregate kernel, the others the
+        # closed form.
         mixed = [(tight, Prices(2.0, 1.0)), (loose, Prices(2.0, 1.0)),
-                 (tight, Prices(2.5, 1.2)), (loose, Prices(2.5, 1.2))]
+                 (tight, Prices(2.5, 1.2)), (loose, Prices(2.5, 1.2)),
+                 (tight, Prices(2.0, 1.8)), (loose, Prices(2.0, 1.8))]
         batch = solve_connected_multiscenario(mixed)
         for (params, prices), eq in zip(mixed, batch):
             ref = solo(params, prices)
             assert np.array_equal(eq.e, ref.e)
             assert np.array_equal(eq.c, ref.c)
+            assert eq.report.iterations == ref.report.iterations
+        assert [eq.report.iterations > 0 for eq in batch] == \
+            [False] * 4 + [True] * 2
 
     def test_uniform_n_required(self):
         a = homogeneous(4, 200.0, reward=1000.0, fork_rate=0.2, h=0.8)

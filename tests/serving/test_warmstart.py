@@ -3,7 +3,8 @@
 import numpy as np
 
 from repro.core import Prices, homogeneous, solve_connected_equilibrium
-from repro.serving import ScenarioSpec, WarmStartIndex, scenario_key
+from repro.serving import (ScenarioSpec, ServingEngine, WarmStartIndex,
+                           scenario_key)
 
 
 def _scenario(p_c=1.0, reward=1500.0):
@@ -71,3 +72,40 @@ class TestWarmStartIndex:
         hit.profile[0][:] = np.nan
         again = index.suggest(spec)
         assert np.all(np.isfinite(again.profile[0]))
+
+    def test_re_adding_a_key_replaces_its_entry(self):
+        index = WarmStartIndex()
+        spec = _scenario(1.0)
+        first = _solve(spec)
+        newer = _solve(_scenario(1.1))
+        index.add(spec, scenario_key(spec), first)
+        index.add(spec, scenario_key(spec), newer)
+        assert len(index) == 1
+        hit = index.suggest(spec)
+        assert np.array_equal(hit.profile[0], newer.e)
+        assert np.array_equal(hit.profile[1], newer.c)
+
+    def test_re_added_key_becomes_newest(self):
+        index = WarmStartIndex(max_entries=2)
+        a, b, c = (_scenario(p) for p in (0.8, 1.0, 1.2))
+        for spec in (a, b, a, c):
+            index.add(spec, scenario_key(spec), _solve(spec))
+        # a was refreshed after b, so b is the oldest and leaves first.
+        assert len(index) == 2
+        assert index.suggest(_scenario(1.0)).key != scenario_key(b)
+
+
+class TestEngineWarmIndex:
+    def test_re_solve_after_invalidate_keeps_one_entry(self):
+        engine = ServingEngine()
+        specs = [_scenario(p) for p in (0.8, 1.0, 1.2)]
+        engine.serve_batch(specs)
+        entries = len(engine.warm_index)
+        assert entries == len(specs)
+        engine.cache.invalidate()
+        again = engine.serve_batch(specs)
+        assert all(r.source == "solved" for r in again)
+        assert len(engine.warm_index) == entries
+        hit = engine.warm_index.suggest(specs[1])
+        assert hit.key == again[1].key
+        assert np.array_equal(hit.profile[0], again[1].value.e)
